@@ -506,6 +506,9 @@ BM_IrReplayVsHandWired(benchmark::State &state)
     cfg.decode = true;
     cfg.decoderKind = DecoderKind::UnionFind;
     cfg.batchWidth = 64;
+    // runHandwired is single-threaded: pin the replay to one thread
+    // too, so the comparison is like for like.
+    cfg.threads = 1;
     MemoryExperiment exp(code, cfg);
     const PolicyFactory factory = makePolicyFactory(
         PolicyKind::Eraser, exp.code(), exp.lookup(), false);
@@ -527,6 +530,7 @@ BM_IrReplayVsHandWired(benchmark::State &state)
 }
 BENCHMARK(BM_IrReplayVsHandWired)
     ->ArgName("ir")->Arg(0)->Arg(1)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -768,6 +772,10 @@ emitDecodeJson()
         cfg.decoderKind = DecoderKind::UnionFind;
         cfg.batchWidth = 64;
         cfg.batchDecode = true;
+        // Both sides on one thread: runHandwired never uses the pool,
+        // so a pool-parallel replay would pass the gate on any
+        // multi-core host.
+        cfg.threads = 1;
         MemoryExperiment exp(ir_code, cfg);
         const PolicyFactory factory = makePolicyFactory(
             PolicyKind::Eraser, exp.code(), exp.lookup(), false);

@@ -31,20 +31,15 @@
  *   --checkpoint-every N save every N session chunks (default 1)
  *   --deadline SECONDS   stop cleanly after this wall-clock budget,
  *                        checkpointing the in-flight point
- *   --schedule           execute with the cross-point chunk scheduler
- *                        (exp/sweep_scheduler.h): chunks from many
- *                        live points share one worker pool, shots flow
- *                        to the widest Wilson intervals; results are
- *                        bit-identical to sequential execution
- *   --workers N          worker count: the scheduler pool size with
- *                        --schedule, the per-point simulator thread
- *                        count without it — so the two modes compare
- *                        fairly at equal N (default: hardware
+ *   --workers N          worker-pool size: chunks from many live
+ *                        points share one pool, shots flow to the
+ *                        widest Wilson intervals, and results are
+ *                        bit-identical at any N (default: hardware
  *                        concurrency)
  *   --max-total-shots N  global shot budget across all points;
  *                        truncates deterministically on exhaustion
- *   --max-live-points N  scheduler admission window (default
- *                        max(8, workers))
+ *   --max-live-points N  admission window: points live at once
+ *                        (default max(8, workers))
  */
 
 #include <cstdio>
@@ -74,8 +69,8 @@ usage(const char *argv0)
                  "          [--seed S] [--precision F] [--json PATH]\n"
                  "          [--checkpoint PATH] [--checkpoint-every N]"
                  " [--deadline SECS]\n"
-                 "          [--schedule] [--workers N]"
-                 " [--max-total-shots N] [--max-live-points N]\n",
+                 "          [--workers N] [--max-total-shots N]"
+                 " [--max-live-points N]\n",
                  argv0);
     std::exit(2);
 }
@@ -131,7 +126,6 @@ main(int argc, char **argv)
     std::string checkpoint_path;
     uint64_t checkpoint_every = 1;
     double deadline = 0.0;
-    bool schedule = false;
     unsigned workers = 0;
     uint64_t max_total_shots = 0;
     size_t max_live_points = 0;
@@ -172,8 +166,6 @@ main(int argc, char **argv)
                 usage(argv[0]);
         } else if (arg == "--deadline") {
             deadline = std::atof(next());
-        } else if (arg == "--schedule") {
-            schedule = true;
         } else if (arg == "--workers") {
             workers = (unsigned)std::atoi(next());
         } else if (arg == "--max-total-shots") {
@@ -219,10 +211,6 @@ main(int argc, char **argv)
         plan.fixedSeed = seed;
     if (precision > 0.0)
         plan.earlyStop.targetRelPrecision = precision;
-    // Same worker budget either way: the scheduler gets a pool of N,
-    // the sequential runner simulates each point with N threads.
-    if (workers > 0 && !schedule)
-        plan.base.threads = workers;
 
     const std::vector<std::pair<std::string, PolicyKind>> kinds = {
         {"never", PolicyKind::Never},     {"always", PolicyKind::Always},
@@ -257,7 +245,6 @@ main(int argc, char **argv)
     run_options.checkpoint.path = checkpoint_path;
     run_options.checkpoint.everyChunks = checkpoint_every;
     run_options.deadlineSeconds = deadline;
-    run_options.schedule = schedule;
     run_options.workers = workers;
     run_options.maxTotalShots = max_total_shots;
     run_options.maxLivePoints = max_live_points;
@@ -300,16 +287,15 @@ main(int argc, char **argv)
                      (unsigned long long)err.pointIndex, err.distance,
                      err.p, err.attempts,
                      err.status.toString().c_str());
-    if (summary.scheduled)
-        std::printf("[scheduler: %u workers, %llu rounds, %llu chunks"
-                    " dispatched, %llu shots reallocated, %llu"
-                    " discarded, pool %.0f%% busy]\n",
-                    summary.workersUsed,
-                    (unsigned long long)summary.schedulerRounds,
-                    (unsigned long long)summary.chunksDispatched,
-                    (unsigned long long)summary.shotsReallocated,
-                    (unsigned long long)summary.shotsDiscarded,
-                    summary.poolUtilization * 100.0);
+    std::printf("[scheduler: %u workers, %llu rounds, %llu chunks"
+                " dispatched, %llu shots reallocated, %llu discarded,"
+                " pool %.0f%% busy]\n",
+                summary.workersUsed,
+                (unsigned long long)summary.schedulerRounds,
+                (unsigned long long)summary.chunksDispatched,
+                (unsigned long long)summary.shotsReallocated,
+                (unsigned long long)summary.shotsDiscarded,
+                summary.poolUtilization * 100.0);
     std::printf("[%zu point(s), %llu shots in %.2fs]\n",
                 summary.points,
                 (unsigned long long)summary.shotsRun,

@@ -53,7 +53,8 @@ namespace qec
 struct PolicyCheckpoint
 {
     SessionProgress progress;
-    /** Wall seconds spent on this policy across all incarnations. */
+    /** Busy worker-seconds spent on this policy across all
+     *  incarnations (PointResult::seconds). */
     double seconds = 0.0;
     bool finished = false;
     bool stoppedEarly = false;

@@ -197,8 +197,9 @@ class ExperimentSession
     /**
      * The chunk size runToCompletion uses between early-stop
      * evaluations — deterministic for a given (plan, rule), which
-     * makes externally-driven chunk loops (SweepRunner checkpointing)
-     * hit the same boundaries as an uninterrupted runToCompletion.
+     * lets externally-driven chunk planning (SweepRunner, via
+     * defaultChunkShotsAt) hit the same boundaries as an
+     * uninterrupted runToCompletion.
      * ~0 when no early-stop rule is active (one maximal chunk).
      */
     uint64_t defaultChunkShots() const;
@@ -209,12 +210,13 @@ class ExperimentSession
 
     // ------------------------------------------ scheduler interface
     //
-    // A cross-point scheduler (exp/sweep_scheduler.h) splits chunks
-    // into units, executes the units of *many* sessions concurrently
-    // on one worker pool, and commits each chunk at a barrier — in the
-    // session's own chunk order, so the committed sequence of chunk
-    // boundaries (and therefore every early-stop decision) is exactly
-    // the sequence runChunk/runToCompletion would have produced.
+    // The cross-point sweep executor (exp/sweep_runner.h) splits
+    // chunks into units, executes the units of *many* sessions
+    // concurrently on one worker pool, and commits each chunk at a
+    // barrier — in the session's own chunk order, so the committed
+    // sequence of chunk boundaries (and therefore every early-stop
+    // decision) is exactly the sequence runChunk/runToCompletion would
+    // have produced.
 
     /** Execution units in the whole session: word-group spans on the
      *  batched path, shots on the scalar path. */

@@ -115,34 +115,4 @@ SweepBuildCache::build(const SweepPoint &point,
     return out;
 }
 
-bool
-prepareSweepCheckpoint(const CheckpointOptions &options,
-                       SweepCheckpoint &ckpt, SweepSummary &summary)
-{
-    if (!options.enabled() || !options.resume)
-        return true;
-    StatusOr<SweepCheckpoint> loaded =
-        SweepCheckpoint::load(options.path);
-    if (loaded.ok()) {
-        if (loaded.value().planFingerprint != ckpt.planFingerprint) {
-            summary.resumeStatus = failedPrecondition(
-                "checkpoint " + options.path +
-                " was written by a different sweep plan "
-                "(fingerprint mismatch); delete it or point this "
-                "sweep at a fresh checkpoint path");
-            summary.status = summary.resumeStatus;
-            return false;
-        }
-        ckpt = std::move(loaded).value();
-        summary.resumed = !ckpt.points.empty();
-    } else if (loaded.status().code() != StatusCode::NotFound) {
-        // A corrupt or version-skewed checkpoint is evidence of
-        // real progress; refuse to clobber it silently.
-        summary.resumeStatus = loaded.status();
-        summary.status = loaded.status();
-        return false;
-    }
-    return true;
-}
-
 } // namespace qec

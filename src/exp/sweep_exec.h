@@ -1,10 +1,6 @@
 /**
  * @file
- * Execution plumbing shared by the sequential SweepRunner loop and the
- * cross-point SweepScheduler (exp/sweep_scheduler.h): the cross-point
- * component caches and the checkpoint load/verify preamble. Both
- * executors must build identical components in identical order and
- * make identical resume decisions, so the logic lives here once.
+ * SweepRunner's cross-point component caches.
  */
 
 #ifndef QEC_EXP_SWEEP_EXEC_H
@@ -14,7 +10,6 @@
 #include <memory>
 #include <tuple>
 
-#include "exp/checkpoint.h"
 #include "exp/sweep_runner.h"
 
 namespace qec
@@ -24,8 +19,8 @@ namespace qec
  * Cross-point component caches: the expensive builds (lattice,
  * detector model, decoder structure) are keyed by exactly what they
  * depend on, so a grid that revisits them pays once. Builds happen on
- * the calling thread in request order — both executors request points
- * in plan-index order, keeping the built/reused accounting identical.
+ * the calling thread in request order — the runner requests points in
+ * plan-index order, keeping the built/reused accounting deterministic.
  */
 class SweepBuildCache
 {
@@ -68,18 +63,6 @@ class SweepBuildCache
     using DecoderKey = std::tuple<int, int, int, int, int, uint64_t>;
     std::map<DecoderKey, std::shared_ptr<const Decoder>> decoders_;
 };
-
-/**
- * The checkpoint preamble both executors share: when resume is
- * requested, load `options.path`, verify its plan fingerprint, and
- * adopt it into `ckpt` (whose planFingerprint must be preset).
- * Returns false when the sweep must not proceed — fingerprint
- * mismatch, or a corrupt/version-skewed file that is evidence of real
- * progress — with summary.status / summary.resumeStatus set.
- */
-bool prepareSweepCheckpoint(const CheckpointOptions &options,
-                            SweepCheckpoint &ckpt,
-                            SweepSummary &summary);
 
 } // namespace qec
 

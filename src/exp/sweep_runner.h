@@ -2,33 +2,66 @@
  * @file
  * Sweep execution: the `qec::sweep` back half.
  *
- * SweepRunner executes a SweepPlan point by point, building each
- * point's MemoryExperiment from cross-point caches (codes per
- * distance, detector models per (d, rounds, basis), decoders per
- * (model, kind, p)) so grids that revisit a lattice or a detector
- * model never rebuild them. Every policy of a point runs through an
- * ExperimentSession (honoring the plan's early-stop rule), and the
- * finished PointResult streams to the attached sinks: a bench_util
- * style table printer, the unified JSON emitter, or a plain
- * collector for benches with bespoke presentation.
+ * SweepRunner executes a SweepPlan on one shared WorkerPool
+ * (base/parallel.h), building each point's MemoryExperiment from
+ * cross-point caches (codes per distance, detector models per
+ * (d, rounds, basis), decoders per (model, kind, p)) so grids that
+ * revisit a lattice or a detector model never rebuild them. Every
+ * policy of a point runs through an ExperimentSession (honoring the
+ * plan's early-stop rule), and each finished PointResult streams, in
+ * plan order, to the attached sinks: a bench_util style table printer,
+ * the unified JSON emitter, or a plain collector for benches with
+ * bespoke presentation.
+ *
+ * Cross-point scheduling. The runner keeps a window of points *live*
+ * at once and feeds the pool from all of their sessions: each
+ * allocation round plans the next chunks of every live session,
+ * splits them into word-group units, dispatches the whole unit bag to
+ * the pool, and then commits the finished chunks session by session.
+ * Beyond a fair one-chunk-per-live-session baseline, extra chunks of
+ * the round go to the sessions whose Wilson confidence intervals are
+ * widest relative to the plan's precision target — shots flow to the
+ * points that are furthest from stopping, under the global
+ * SweepRunOptions::maxTotalShots budget.
+ *
+ * Determinism contract: results are bit-identical to running each
+ * policy of each point as its own ExperimentSession::runToCompletion,
+ * at ANY worker count —
+ *
+ *  - chunk boundaries are the session's own (planChunkAt /
+ *    defaultChunkShotsAt reproduce exactly the sizes runChunk would
+ *    have used, including the shrink near a shot cap);
+ *  - chunk merges are unit-partial merges, commutative by
+ *    ExperimentResult::merge's construction;
+ *  - early stop is evaluated at commitChunk time on cumulative
+ *    counters, in fixed session order — chunks planned past a
+ *    boundary where the rule fires are executed speculatively and
+ *    *discarded*, never committed, so every session stops at exactly
+ *    the shot runToCompletion stops at;
+ *  - allocation decisions read only committed state at round
+ *    barriers, never in-flight partials or wall-clock, so the round
+ *    structure itself is worker-count-independent (the wall-clock
+ *    deadline is the one documented exception).
  *
  * Fault tolerance (SweepRunOptions):
  *
  *  - Checkpoint/resume. With CheckpointOptions::path set, the runner
  *    persists a qec.ckpt.v1 artifact (exp/checkpoint.h) at chunk
  *    boundaries — atomically, so a kill at any instant leaves a
- *    loadable checkpoint — and a rerun against the same plan skips
- *    completed points (re-emitting them to the sinks, so the final
- *    artifact is complete), restores the in-flight point's partial at
- *    its exact chunk boundary, and finishes bit-identically to a run
+ *    loadable checkpoint — carrying the working record of every live
+ *    point. A rerun against the same plan skips completed points
+ *    (re-emitting them to the sinks, so the final artifact is
+ *    complete), restores each in-flight point's partials at their
+ *    exact chunk boundaries, and finishes bit-identically to a run
  *    that was never interrupted.
  *  - Recoverable point failures. A point that fails with a retryable
  *    Status (transient I/O, allocation failure) is retried with
- *    bounded backoff; a point that keeps failing is quarantined —
- *    recorded in SweepSummary::errors, not emitted — and the sweep
- *    continues.
+ *    bounded backoff — its uncommitted round chunks discarded,
+ *    committed progress kept — while the other points keep running;
+ *    a point that keeps failing is quarantined — recorded in
+ *    SweepSummary::errors, not emitted — and the sweep continues.
  *  - Deadlines. A wall-clock budget stops the sweep cleanly at a
- *    chunk boundary, checkpointing the partial so a later run can
+ *    chunk boundary, checkpointing the partials so a later run can
  *    pick up where it stopped.
  */
 
@@ -51,15 +84,17 @@ struct PointResult
     SweepPoint point;
     /** One result per plan policy, in plan order. */
     std::vector<ExperimentResult> results;
-    /** Wall-clock seconds per policy. */
+    /** Busy worker-seconds per policy: the summed execution time of
+     *  the policy's units on the pool, which overlap in wall time
+     *  (includes the seconds of a checkpointed partial). */
     std::vector<double> seconds;
     std::vector<bool> stoppedEarly;
     /** Policy stopped at a deadline with shots remaining (the result
      *  is a valid, checkpoint-resumable partial). */
     std::vector<bool> truncated;
     /** Wall-clock seconds from the point entering execution to its
-     *  completion (spans concurrent points under the scheduler; 0 for
-     *  points re-emitted from a checkpoint). */
+     *  completion (spans concurrently live points; 0 for points
+     *  re-emitted from a checkpoint). */
     double wallSeconds = 0.0;
 
     double
@@ -126,12 +161,10 @@ struct SweepSummary
     size_t checkpointSaves = 0;
     std::vector<SweepPointError> errors;
 
-    // ----------------------------------------- scheduled execution
-    /** The cross-point scheduler executed this sweep. */
-    bool scheduled = false;
-    /** Worker-pool threads the scheduler dispatched onto. */
+    // ------------------------------------------------- scheduling
+    /** Worker-pool threads the runner dispatched onto. */
     unsigned workersUsed = 0;
-    /** Allocation rounds the scheduler ran. */
+    /** Allocation rounds the runner ran. */
     uint64_t schedulerRounds = 0;
     /** Session chunks dispatched (committed + discarded). */
     uint64_t chunksDispatched = 0;
@@ -319,34 +352,31 @@ struct SweepRunOptions
     /** Backoff before retry k is 2^(k-1) times this (bounded). */
     double retryBackoffSeconds = 0.05;
 
-    // ----------------------------------------- scheduled execution
+    // ------------------------------------------------- scheduling
     /**
-     * Execute the plan with the cross-point chunk scheduler
-     * (exp/sweep_scheduler.h) instead of the sequential point loop:
-     * chunks from many live points dispatch onto one worker pool,
-     * with shots flowing to the sessions whose Wilson intervals are
-     * widest relative to the precision target. Results are
-     * bit-identical to the sequential runner at any worker count
-     * (fingerprints, counters, early-stop shots); only wall-clock
-     * fields and, when maxTotalShots binds, the budget's distribution
-     * across points differ.
+     * Unused: SweepRunner has one executor and never reads this. It
+     * stays declared only because the benchmark driver (perfbench/)
+     * assigns it; nothing in src/, bench/, examples/ or tests/ may
+     * read or set it.
      */
     bool schedule = false;
-    /** Scheduler worker-pool size (0 = defaultThreadCount()). */
+    /** Worker-pool size (0 = defaultThreadCount()). */
     unsigned workers = 0;
     /**
-     * Global shot budget across every point and policy, accounted at
-     * chunk boundaries (0 = none; overshoot is at most one chunk).
-     * On exhaustion the sweep truncates exactly like a deadline —
-     * partials checkpointed, summary.budgetExhausted set — but,
-     * unlike a deadline, deterministically: the same budget truncates
-     * at the same boundaries at any worker count.
+     * Global shot budget across every point and policy, accounted in
+     * committed shots (0 = none). Each allocation round caps its
+     * planned chunks at the remaining budget, so the overshoot is
+     * less than one word-group. On exhaustion the sweep truncates
+     * exactly like a deadline — partials checkpointed,
+     * summary.budgetExhausted set — but, unlike a deadline,
+     * deterministically: the same budget truncates at the same
+     * boundaries at any worker count.
      */
     uint64_t maxTotalShots = 0;
     /**
-     * Scheduler admission window: how many points may be live (built,
-     * sessions in memory) at once. 0 derives max(8, workers). Wider
-     * admits more cross-point parallelism; narrower bounds memory.
+     * Admission window: how many points may be live (built, sessions
+     * in memory) at once. 0 derives max(8, workers). Wider admits
+     * more cross-point parallelism; narrower bounds memory.
      * Does not affect results unless maxTotalShots binds (admission
      * order decides who competes for the remaining budget).
      */
@@ -371,8 +401,9 @@ class SweepRunner
     /** Run every point; returns the accounting summary. */
     SweepSummary run();
 
-    /** As run(), with checkpointing, retry/quarantine, and deadline
-     *  behavior per `options` (see SweepRunOptions). */
+    /** As run(), with the pool size, admission window, shot budget,
+     *  checkpointing, retry/quarantine, and deadline behavior per
+     *  `options` (see SweepRunOptions). */
     SweepSummary run(const SweepRunOptions &options);
 
   private:

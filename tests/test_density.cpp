@@ -132,7 +132,13 @@ TEST(Density, HermiticityPreservedThroughStudySteps)
 class StudyFixture : public ::testing::Test
 {
   protected:
-    StudyFixture() : steps_(runStabilizerLeakageStudy()) {}
+    /** The study is deterministic and dominates this binary's run
+     *  time: compute it once for every test of the suite. */
+    static void
+    SetUpTestSuite()
+    {
+        steps_ = runStabilizerLeakageStudy();
+    }
 
     const StudyStep &
     marker(const std::string &m) const
@@ -145,8 +151,10 @@ class StudyFixture : public ::testing::Test
         return steps_.front();
     }
 
-    std::vector<StudyStep> steps_;
+    static std::vector<StudyStep> steps_;
 };
+
+std::vector<StudyStep> StudyFixture::steps_;
 
 TEST_F(StudyFixture, HasAllMarkers)
 {

@@ -1,12 +1,13 @@
 /**
  * @file
- * Cross-point sweep scheduler tests: bit-identity against the
- * sequential SweepRunner at several worker counts and widths (with
- * and without early stopping), worker-count-invariant budget
- * truncation, multi-point checkpoint crash/resume (including
- * cross-mode: scheduled checkpoint resumed sequentially and vice
- * versa), and retry/quarantine of a faulting point while the other
- * points keep running.
+ * Cross-point sweep execution tests: bit-identity of SweepRunner
+ * against independent direct runs (each point's policies run one by
+ * one as ExperimentSession::runToCompletion over a directly-built
+ * MemoryExperiment) at several worker counts and widths, with and
+ * without early stopping; worker-count-invariant budget truncation
+ * and its overshoot bound; multi-point checkpoint crash/resume;
+ * resume of a one-point-in-flight checkpoint; and retry/quarantine
+ * of a faulting point while the other points keep running.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 
 #include "base/fault_injection.h"
 #include "exp/checkpoint.h"
+#include "exp/experiment_session.h"
 #include "exp/sweep_runner.h"
 
 namespace qec
@@ -118,6 +120,40 @@ expectPointsIdentical(const std::vector<PointResult> &a,
     }
 }
 
+/** The independent reference: every (point, policy) of the plan run
+ *  on its own as ExperimentSession::runToCompletion over a
+ *  MemoryExperiment built directly from the resolved point config. */
+std::vector<PointResult>
+directRuns(const SweepPlan &plan)
+{
+    SessionOptions options;
+    options.earlyStop = plan.earlyStop;
+    std::vector<PointResult> out;
+    for (const SweepPoint &point : plan.points()) {
+        RotatedSurfaceCode code(point.distance);
+        MemoryExperiment exp(code, point.config);
+        PointResult pr;
+        pr.point = point;
+        for (const SweepPolicy &policy : plan.policies) {
+            ExperimentSession session(exp, policy.kind, options);
+            pr.results.push_back(session.runToCompletion());
+            pr.stoppedEarly.push_back(session.stoppedEarly());
+        }
+        out.push_back(std::move(pr));
+    }
+    return out;
+}
+
+uint64_t
+totalShots(const std::vector<PointResult> &points)
+{
+    uint64_t shots = 0;
+    for (const PointResult &pr : points)
+        for (const ExperimentResult &r : pr.results)
+            shots += r.shots;
+    return shots;
+}
+
 class SweepSchedulerTest : public ::testing::Test
 {
   protected:
@@ -136,20 +172,14 @@ class SweepSchedulerTest : public ::testing::Test
 TEST_F(SweepSchedulerTest,
        EarlyStopResultsAreBitIdenticalToSequentialAtAnyWorkerCount)
 {
-    for (unsigned width : {64u, 256u, 512u}) {
+    // Width 1 runs the scalar per-shot path (one shot per unit).
+    for (unsigned width : {1u, 64u, 256u, 512u}) {
         const SweepPlan plan = precisionPlan(width);
-
-        SweepRunner seq_runner(plan);
-        CollectSink seq;
-        seq_runner.addSink(seq);
-        const SweepSummary seq_summary =
-            seq_runner.run(SweepRunOptions());
-        ASSERT_TRUE(seq_summary.status.isOk());
-        ASSERT_EQ(seq.points.size(), 3u);
+        const std::vector<PointResult> direct = directRuns(plan);
+        ASSERT_EQ(direct.size(), 3u);
 
         for (unsigned workers : {1u, 2u, 8u}) {
             SweepRunOptions options;
-            options.schedule = true;
             options.workers = workers;
             SweepRunner runner(plan);
             CollectSink sched;
@@ -157,13 +187,12 @@ TEST_F(SweepSchedulerTest,
             const SweepSummary summary = runner.run(options);
             ASSERT_TRUE(summary.status.isOk())
                 << summary.status.toString();
-            EXPECT_TRUE(summary.scheduled);
             EXPECT_EQ(summary.workersUsed, workers);
             EXPECT_GT(summary.schedulerRounds, 0u);
             EXPECT_GT(summary.chunksDispatched, 0u);
-            EXPECT_EQ(summary.shotsRun, seq_summary.shotsRun)
+            EXPECT_EQ(summary.shotsRun, totalShots(direct))
                 << "width " << width << " workers " << workers;
-            expectPointsIdentical(sched.points, seq.points);
+            expectPointsIdentical(sched.points, direct);
         }
     }
 }
@@ -171,51 +200,35 @@ TEST_F(SweepSchedulerTest,
 TEST_F(SweepSchedulerTest, FixedShotResultsMatchSequential)
 {
     const SweepPlan plan = fixedPlan(64, 1024);
-
-    SweepRunner seq_runner(plan);
-    CollectSink seq;
-    seq_runner.addSink(seq);
-    const SweepSummary seq_summary = seq_runner.run(SweepRunOptions());
-    ASSERT_TRUE(seq_summary.status.isOk());
+    const std::vector<PointResult> direct = directRuns(plan);
 
     // The commit-order chunk poll must see exactly the chunk sequence
-    // the sequential runner executes — count it on both sides.
-    fault::reset();
-    fault::countHits();
-    {
-        SweepRunner r(plan);
-        CollectSink c;
-        r.addSink(c);
-        r.run(SweepRunOptions());
-    }
-    const uint64_t seq_polls = fault::hits("sweep.chunk");
+    // runToCompletion executes: shots / checkEvery chunks per session
+    // (1024 / 128, no early stop), for every point and policy.
     fault::reset();
     fault::countHits();
 
     SweepRunOptions options;
-    options.schedule = true;
     options.workers = 2;
     SweepRunner runner(plan);
     CollectSink sched;
     runner.addSink(sched);
     const SweepSummary summary = runner.run(options);
     ASSERT_TRUE(summary.status.isOk());
-    EXPECT_EQ(fault::hits("sweep.chunk"), seq_polls);
-    EXPECT_EQ(summary.shotsRun, seq_summary.shotsRun);
+    EXPECT_EQ(fault::hits("sweep.chunk"),
+              direct.size() * plan.policies.size() *
+                  (plan.base.shots / plan.earlyStop.checkEvery));
+    EXPECT_EQ(summary.shotsRun, totalShots(direct));
     EXPECT_EQ(summary.shotsDiscarded, 0u);
-    expectPointsIdentical(sched.points, seq.points);
+    expectPointsIdentical(sched.points, direct);
 }
 
 TEST_F(SweepSchedulerTest, NarrowAdmissionWindowDoesNotChangeResults)
 {
     const SweepPlan plan = precisionPlan(64);
-    SweepRunner seq_runner(plan);
-    CollectSink seq;
-    seq_runner.addSink(seq);
-    seq_runner.run(SweepRunOptions());
+    const std::vector<PointResult> direct = directRuns(plan);
 
     SweepRunOptions options;
-    options.schedule = true;
     options.workers = 2;
     options.maxLivePoints = 1;
     SweepRunner runner(plan);
@@ -223,21 +236,42 @@ TEST_F(SweepSchedulerTest, NarrowAdmissionWindowDoesNotChangeResults)
     runner.addSink(sched);
     const SweepSummary summary = runner.run(options);
     ASSERT_TRUE(summary.status.isOk());
-    expectPointsIdentical(sched.points, seq.points);
+    expectPointsIdentical(sched.points, direct);
+}
+
+/** Shots committed by a (possibly truncated) sweep: every session's
+ *  cumulative result in the checkpoint it left, finished or not. */
+uint64_t
+committedShots(const std::string &path)
+{
+    StatusOr<SweepCheckpoint> loaded = SweepCheckpoint::load(path);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().toString();
+    if (!loaded.ok())
+        return 0;
+    uint64_t shots = 0;
+    for (const auto &kv : loaded.value().points)
+        for (const PolicyCheckpoint &pc : kv.second.policies)
+            shots += pc.progress.total.shots;
+    return shots;
 }
 
 TEST_F(SweepSchedulerTest,
        BudgetTruncationIsIdenticalAcrossWorkerCounts)
 {
     const SweepPlan plan = fixedPlan(64, 2048);
+    const std::string path = tempPath("budget.ckpt");
 
     std::vector<PointResult> reference;
     SweepSummary ref_summary;
-    for (unsigned workers : {1u, 2u, 8u}) {
+    uint64_t ref_committed = 0;
+    // Worker count 2 runs twice: a repeat run must truncate at the
+    // same boundaries too.
+    for (unsigned workers : {1u, 2u, 2u, 8u}) {
+        std::remove(path.c_str());
         SweepRunOptions options;
-        options.schedule = true;
         options.workers = workers;
         options.maxTotalShots = 4000;   // < 3 * 2 * 2048 planned
+        options.checkpoint.path = path;
         SweepRunner runner(plan);
         CollectSink sched;
         runner.addSink(sched);
@@ -245,41 +279,26 @@ TEST_F(SweepSchedulerTest,
         ASSERT_TRUE(summary.status.isOk());
         EXPECT_TRUE(summary.truncated);
         EXPECT_TRUE(summary.budgetExhausted);
+        // Budget accounting is committed shots, and every allocation
+        // round caps its planned chunks at the budget left: only the
+        // chunk that crosses the budget can overshoot it, and only by
+        // rounding up to its last word-group.
+        const uint64_t committed = committedShots(path);
+        EXPECT_GE(committed, options.maxTotalShots);
+        EXPECT_LT(committed,
+                  options.maxTotalShots + plan.base.batchWidth);
         if (workers == 1u) {
             reference = sched.points;
             ref_summary = summary;
-            // Budget accounting is committed shots: the overshoot is
-            // bounded by the chunks of one allocation round.
-            EXPECT_GE(summary.shotsRun + 1, 1u);
+            ref_committed = committed;
         } else {
+            EXPECT_EQ(committed, ref_committed);
             EXPECT_EQ(summary.shotsRun, ref_summary.shotsRun);
             EXPECT_EQ(summary.points, ref_summary.points);
             expectPointsIdentical(sched.points, reference);
         }
     }
-}
-
-TEST_F(SweepSchedulerTest, SequentialBudgetTruncatesDeterministically)
-{
-    const SweepPlan plan = fixedPlan(64, 2048);
-    SweepRunOptions options;
-    options.maxTotalShots = 3000;
-    uint64_t shots[2];
-    for (int i = 0; i < 2; ++i) {
-        SweepRunner runner(plan);
-        CollectSink sink;
-        runner.addSink(sink);
-        const SweepSummary summary = runner.run(options);
-        ASSERT_TRUE(summary.status.isOk());
-        EXPECT_TRUE(summary.truncated);
-        EXPECT_TRUE(summary.budgetExhausted);
-        // Committed shots overshoot the budget by at most one chunk.
-        EXPECT_LT(summary.shotsRun,
-                  options.maxTotalShots + plan.earlyStop.checkEvery +
-                      plan.base.batchWidth);
-        shots[i] = summary.shotsRun;
-    }
-    EXPECT_EQ(shots[0], shots[1]);
+    std::remove(path.c_str());
 }
 
 TEST_F(SweepSchedulerTest, CrashLeavesMultiPointCheckpointAndResumes)
@@ -287,17 +306,12 @@ TEST_F(SweepSchedulerTest, CrashLeavesMultiPointCheckpointAndResumes)
     if (!fault::compiledIn())
         GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
-
-    SweepRunner clean_runner(plan);
-    CollectSink clean;
-    clean_runner.addSink(clean);
-    clean_runner.run(SweepRunOptions());
+    const std::vector<PointResult> direct = directRuns(plan);
 
     // Learn the committed-chunk count, then crash mid-sweep.
     fault::countHits();
     {
         SweepRunOptions options;
-        options.schedule = true;
         options.workers = 2;
         SweepRunner r(plan);
         CollectSink c;
@@ -315,7 +329,6 @@ TEST_F(SweepSchedulerTest, CrashLeavesMultiPointCheckpointAndResumes)
         std::remove(path.c_str());
 
         SweepRunOptions options;
-        options.schedule = true;
         options.workers = 2;
         options.checkpoint.path = path;
 
@@ -350,67 +363,97 @@ TEST_F(SweepSchedulerTest, CrashLeavesMultiPointCheckpointAndResumes)
         const SweepSummary summary = r.run(resume);
         ASSERT_TRUE(summary.status.isOk());
         EXPECT_TRUE(summary.resumed);
-        expectPointsIdentical(resumed.points, clean.points);
+        expectPointsIdentical(resumed.points, direct);
         std::remove(path.c_str());
     }
 }
 
-TEST_F(SweepSchedulerTest, CheckpointsResumeAcrossExecutionModes)
+/** A finished policy record: the full session's final progress. */
+PolicyCheckpoint
+finishedPolicy(const ExperimentSession &session)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "fault injection compiled out";
-    const SweepPlan plan = fixedPlan(64, 1024);
+    PolicyCheckpoint pc;
+    pc.progress = session.progress();
+    pc.seconds = 0.25;
+    pc.finished = true;
+    pc.stoppedEarly = session.stoppedEarly();
+    return pc;
+}
 
-    SweepRunner clean_runner(plan);
-    CollectSink clean;
-    clean_runner.addSink(clean);
-    clean_runner.run(SweepRunOptions());
+TEST_F(SweepSchedulerTest, ResumesOnePointInFlightCheckpoint)
+{
+    // A qec.ckpt.v1 file in the shape a point-by-point executor
+    // leaves behind: point 0 finished; point 1 in flight with policy
+    // 0 finished and policy 1 stopped at a mid-run chunk boundary;
+    // point 2 absent. Width 1 exercises the scalarNext cursor.
+    for (unsigned width : {64u, 1u}) {
+        const SweepPlan plan = fixedPlan(width, 1024);
+        const std::vector<SweepPoint> points = plan.points();
+        ASSERT_EQ(points.size(), 3u);
+        const std::vector<PointResult> direct = directRuns(plan);
 
-    fault::countHits();
-    {
-        SweepRunner r(plan);
-        CollectSink c;
-        r.addSink(c);
-        r.run(SweepRunOptions());
-    }
-    const uint64_t total_chunks = fault::hits("sweep.chunk");
-    fault::reset();
+        SessionOptions session_options;
+        session_options.earlyStop = plan.earlyStop;
+        SweepCheckpoint ckpt;
+        ckpt.planFingerprint =
+            SweepCheckpoint::fingerprintPlan(plan, points);
+        for (size_t pi = 0; pi < 2; ++pi) {
+            const SweepPoint &point = points[pi];
+            RotatedSurfaceCode code(point.distance);
+            MemoryExperiment exp(code, point.config);
+            PointCheckpoint &rec = ckpt.points[point.index];
+            rec.pointIndex = point.index;
+            rec.seed = point.seed;
+            rec.finished = pi == 0;
 
-    // Crash a SCHEDULED run, resume SEQUENTIALLY — and the reverse.
-    for (int sched_first = 0; sched_first < 2; ++sched_first) {
-        const std::string path = tempPath(
-            "cross_mode_" + std::to_string(sched_first) + ".ckpt");
-        std::remove(path.c_str());
+            ExperimentSession first(exp, plan.policies[0].kind,
+                                    session_options);
+            first.runToCompletion();
+            rec.policies.push_back(finishedPolicy(first));
 
-        SweepRunOptions crash_options;
-        crash_options.checkpoint.path = path;
-        crash_options.schedule = sched_first == 0;
-        crash_options.workers = 2;
-
-        fault::arm("sweep.chunk", total_chunks / 2, fault::Kind::Crash);
-        bool crashed = false;
-        try {
-            SweepRunner r(plan);
-            CollectSink c;
-            r.addSink(c);
-            r.run(crash_options);
-        } catch (const SimulatedCrash &) {
-            crashed = true;
+            ExperimentSession second(exp, plan.policies[1].kind,
+                                     session_options);
+            if (rec.finished) {
+                second.runToCompletion();
+                rec.policies.push_back(finishedPolicy(second));
+            } else {
+                for (int chunk = 0; chunk < 3; ++chunk)
+                    second.runChunk(second.defaultChunkShots());
+                ASSERT_FALSE(second.done());
+                PolicyCheckpoint partial;
+                partial.progress = second.progress();
+                partial.seconds = 0.1;
+                rec.policies.push_back(partial);
+            }
         }
-        fault::reset();
-        ASSERT_TRUE(crashed);
+        const SessionProgress &mid =
+            ckpt.points[points[1].index].policies[1].progress;
+        if (width == 1u) {
+            EXPECT_EQ(mid.scalarNext, 3 * plan.earlyStop.checkEvery);
+            EXPECT_EQ(mid.nextSpan, 0u);
+        } else {
+            EXPECT_EQ(mid.nextSpan,
+                      3 * plan.earlyStop.checkEvery / width);
+        }
 
-        SweepRunOptions resume_options;
-        resume_options.checkpoint.path = path;
-        resume_options.schedule = sched_first != 0;
-        resume_options.workers = 2;
-        SweepRunner r(plan);
+        const std::string path =
+            tempPath("one_in_flight_w" + std::to_string(width) +
+                     ".ckpt");
+        ASSERT_TRUE(ckpt.save(path).isOk());
+
+        SweepRunOptions options;
+        options.workers = 2;
+        options.checkpoint.path = path;
+        SweepRunner runner(plan);
         CollectSink resumed;
-        r.addSink(resumed);
-        const SweepSummary summary = r.run(resume_options);
-        ASSERT_TRUE(summary.status.isOk());
+        runner.addSink(resumed);
+        const SweepSummary summary = runner.run(options);
+        ASSERT_TRUE(summary.status.isOk()) << summary.status.toString();
         EXPECT_TRUE(summary.resumed);
-        expectPointsIdentical(resumed.points, clean.points);
+        EXPECT_EQ(summary.pointsResumed, 1u);
+        EXPECT_EQ(summary.points, 3u);
+        SCOPED_TRACE("width " + std::to_string(width));
+        expectPointsIdentical(resumed.points, direct);
         std::remove(path.c_str());
     }
 }
@@ -420,14 +463,9 @@ TEST_F(SweepSchedulerTest, FaultingPointRetriesWithoutChangingResults)
     if (!fault::compiledIn())
         GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
-
-    SweepRunner clean_runner(plan);
-    CollectSink clean;
-    clean_runner.addSink(clean);
-    clean_runner.run(SweepRunOptions());
+    const std::vector<PointResult> direct = directRuns(plan);
 
     SweepRunOptions options;
-    options.schedule = true;
     options.workers = 2;
     options.maxPointAttempts = 2;
     options.retryBackoffSeconds = 0.0;
@@ -440,7 +478,7 @@ TEST_F(SweepSchedulerTest, FaultingPointRetriesWithoutChangingResults)
     ASSERT_TRUE(summary.status.isOk());
     EXPECT_EQ(summary.retries, 1u);
     EXPECT_EQ(summary.pointsFailed, 0u);
-    expectPointsIdentical(sched.points, clean.points);
+    expectPointsIdentical(sched.points, direct);
 }
 
 TEST_F(SweepSchedulerTest, UnitFaultIsRetriedWhileOthersKeepRunning)
@@ -448,14 +486,9 @@ TEST_F(SweepSchedulerTest, UnitFaultIsRetriedWhileOthersKeepRunning)
     if (!fault::compiledIn())
         GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
-
-    SweepRunner clean_runner(plan);
-    CollectSink clean;
-    clean_runner.addSink(clean);
-    clean_runner.run(SweepRunOptions());
+    const std::vector<PointResult> direct = directRuns(plan);
 
     SweepRunOptions options;
-    options.schedule = true;
     options.workers = 2;
     options.maxPointAttempts = 3;
     options.retryBackoffSeconds = 0.0;
@@ -470,7 +503,7 @@ TEST_F(SweepSchedulerTest, UnitFaultIsRetriedWhileOthersKeepRunning)
     ASSERT_TRUE(summary.status.isOk());
     EXPECT_EQ(summary.retries, 1u);
     EXPECT_EQ(summary.pointsFailed, 0u);
-    expectPointsIdentical(sched.points, clean.points);
+    expectPointsIdentical(sched.points, direct);
 }
 
 TEST_F(SweepSchedulerTest, QuarantinedPointDoesNotStopTheOthers)
@@ -478,15 +511,10 @@ TEST_F(SweepSchedulerTest, QuarantinedPointDoesNotStopTheOthers)
     if (!fault::compiledIn())
         GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
-
-    SweepRunner clean_runner(plan);
-    CollectSink clean;
-    clean_runner.addSink(clean);
-    clean_runner.run(SweepRunOptions());
-    ASSERT_EQ(clean.points.size(), 3u);
+    const std::vector<PointResult> direct = directRuns(plan);
+    ASSERT_EQ(direct.size(), 3u);
 
     SweepRunOptions options;
-    options.schedule = true;
     options.workers = 2;
     options.maxPointAttempts = 1;
     options.retryBackoffSeconds = 0.0;
@@ -506,8 +534,8 @@ TEST_F(SweepSchedulerTest, QuarantinedPointDoesNotStopTheOthers)
     EXPECT_EQ(summary.errors[0].attempts, 1);
     ASSERT_EQ(sched.points.size(), 2u);
     for (const PointResult &pr : sched.points) {
-        ASSERT_LT(pr.point.index, clean.points.size());
-        const PointResult &ref = clean.points[pr.point.index];
+        ASSERT_LT(pr.point.index, direct.size());
+        const PointResult &ref = direct[pr.point.index];
         ASSERT_EQ(pr.results.size(), ref.results.size());
         for (size_t j = 0; j < pr.results.size(); ++j)
             expectResultIdentical(pr.results[j], ref.results[j]);
@@ -520,7 +548,6 @@ TEST_F(SweepSchedulerTest, SummaryJsonCarriesSchedulerStats)
     const std::string path = tempPath("sched_stats.json");
 
     SweepRunOptions options;
-    options.schedule = true;
     options.workers = 2;
     {
         SweepRunner runner(plan);
@@ -544,7 +571,7 @@ TEST_F(SweepSchedulerTest, SummaryJsonCarriesSchedulerStats)
     std::remove(path.c_str());
 
     for (const char *key :
-         {"\"scheduled\": true", "\"workers\": 2",
+         {"\"workers\": 2",
           "\"scheduler_rounds\": ", "\"chunks_dispatched\": ",
           "\"shots_reallocated\": ", "\"shots_discarded\": ",
           "\"pool_utilization\": ", "\"budget_exhausted\": false",
@@ -553,6 +580,8 @@ TEST_F(SweepSchedulerTest, SummaryJsonCarriesSchedulerStats)
             << "missing " << key << " in:\n"
             << content;
     }
+    // One executor: there is no execution-mode flag to report.
+    EXPECT_EQ(content.find("\"scheduled\""), std::string::npos);
 }
 
 } // namespace

@@ -82,7 +82,8 @@ main()
 {
     RotatedSurfaceCode code(5);
     const int rounds = 6;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = buildDetectorModel(CircuitCompiler::surfaceMemory(
+        code, rounds, Basis::Z, IrTailKind::SwapLrc));
     MwpmDecoder decoder(dem, 1e-3);
 
     std::printf("distance-5 memory-Z, %d rounds, %d detectors,"

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "base/logging.h"
-#include "code/builder.h"
-#include "sim/frame_simulator.h"
 
 namespace qec
 {
@@ -105,79 +103,57 @@ class EdgeAccumulator
     std::vector<DemEdge> edges_;
 };
 
-/**
- * How outcome flips of a base circuit map onto detectors and the
- * logical observable — the only protocol-specific piece of DEM
- * construction. Lattice walking (the rotated-surface-code builder)
- * and a compiled program's measure→detector map both lower to this.
- */
-struct DemBindings
+/** `dst ^= src` on sorted detector sets; `scratch` is spare storage. */
+void
+xorInto(Signature &dst, const int *src, const int *src_end,
+        bool src_obs, std::vector<int> &scratch)
 {
-    int numQubits = 0;
-    int stabsPerRound = 0;
-    /** Per stabilizer: detector column, or -1 (wrong-basis checks). */
-    std::vector<int> stabColumn;
-    /** Per data qubit: detector columns its final readout toggles. */
-    std::vector<std::vector<int>> dataColumns;
-    /** Per data qubit: whether its final readout flips the logical. */
-    std::vector<uint8_t> dataObs;
-};
-
-DemBindings
-latticeDemBindings(const RotatedSurfaceCode &code, Basis basis)
-{
-    const StabType type = protectingStabType(basis);
-    DemBindings b;
-    b.numQubits = code.numQubits();
-    b.stabsPerRound = code.numBasisStabilizers(basis);
-    b.stabColumn.assign(code.numStabilizers(), -1);
-    for (const auto &stab : code.stabilizers())
-        if (stab.type == type)
-            b.stabColumn[stab.index] = stab.basisIndex;
-    b.dataColumns.resize(code.numData());
-    for (int q = 0; q < code.numData(); ++q)
-        for (int s : code.stabilizersOfData(q))
-            if (code.stabilizer(s).type == type)
-                b.dataColumns[q].push_back(
-                    code.stabilizer(s).basisIndex);
-    b.dataObs.assign(code.numData(), 0);
-    for (int q : code.logicalSupport(basis))
-        b.dataObs[q] = 1;
-    return b;
+    scratch.clear();
+    std::set_symmetric_difference(dst.dets.begin(), dst.dets.end(),
+                                  src, src_end,
+                                  std::back_inserter(scratch));
+    dst.dets.swap(scratch);
+    dst.obs ^= src_obs;
 }
 
-DemBindings
-programDemBindings(const CircuitProgram &prog)
+/** Frame bits of a Pauli: bit 0 = X component, bit 1 = Z component. */
+int
+frameBits(Pauli p)
 {
-    const IrDetectorMap &map = prog.detectors;
-    DemBindings b;
-    b.numQubits = prog.numQubits;
-    b.stabsPerRound = map.cols;
-    b.stabColumn = map.stabColumn;
-    b.dataColumns.resize(prog.numData);
-    for (int col = 0; col < map.cols; ++col) {
-        for (int k = map.colSupportOffset[col];
-             k < map.colSupportOffset[(size_t)col + 1]; ++k)
-            b.dataColumns[map.colSupportData[k]].push_back(col);
-    }
-    b.dataObs.assign(prog.numData, 0);
-    for (int q : map.observable)
-        b.dataObs[q] = 1;
-    return b;
+    return (p == Pauli::X || p == Pauli::Y ? 1 : 0) |
+           (p == Pauli::Y || p == Pauli::Z ? 2 : 0);
 }
 
 /**
  * Enumerates all Pauli mechanisms of a base memory circuit and
- * produces their detector signatures by frame propagation.
+ * produces their detector signatures with one backward
+ * detector-sensitivity sweep (Stim's error-analyzer technique).
+ *
+ * Walking the ops in reverse, each qubit carries two sensitivity sets:
+ * the detectors (and observable) an X frame on it would flip from that
+ * point on, and likewise for a Z frame. A fault injected after op k
+ * flips the XOR of its components' sets as they stand when the walk
+ * reaches op k. The sweep records those operand sets in one flat
+ * arena; the forward visit combines them per mechanism, so mechanisms
+ * come out in forward op order.
  */
 class Enumerator
 {
   public:
-    Enumerator(const DemBindings &bindings, Circuit circuit, int rounds)
-        : bindings_(bindings), rounds_(rounds),
-          nS_(bindings.stabsPerRound), circuit_(std::move(circuit)),
-          sim_(bindings.numQubits, ErrorModel::noiseless(), Rng(0))
+    /** `circuit` is `prog`'s base circuit at `rounds` rounds. */
+    Enumerator(const CircuitProgram &prog, Circuit circuit, int rounds)
+        : map_(prog.detectors), numQubits_(prog.numQubits),
+          rounds_(rounds), nS_(prog.detectors.cols),
+          circuit_(std::move(circuit)), dataColumns_(prog.numData),
+          dataObs_(prog.numData, 0)
     {
+        for (int col = 0; col < nS_; ++col) {
+            for (int k = map_.colSupportOffset[col];
+                 k < map_.colSupportOffset[(size_t)col + 1]; ++k)
+                dataColumns_[map_.colSupportData[k]].push_back(col);
+        }
+        for (int q : map_.observable)
+            dataObs_[q] = 1;
     }
 
     /**
@@ -189,36 +165,38 @@ class Enumerator
     void
     forEachMechanism(Fn &&fn)
     {
+        sweepBackward();
+        // Op k's sets follow those of every later op in the arena.
+        size_t next_set = setEnd_.size();
         int round = -1;
-        for (size_t k = 0; k < circuit_.ops.size(); ++k) {
-            const Op &op = circuit_.ops[k];
+        for (const Op &op : circuit_.ops) {
+            next_set -= operandSets(op);
             switch (op.type) {
               case OpType::RoundStart:
                 round = op.round;
                 break;
               case OpType::DataNoise:
               case OpType::H:
-                for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+                for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z})
                     fn(round, ProbClass::P3,
-                       propagate(k, {{op.q0, p}}));
-                }
+                       combine(next_set, frameBits(p)));
                 break;
               case OpType::Cnot:
                 for (int pp = 1; pp < 16; ++pp) {
                     const Pauli pa = (Pauli)(pp & 3);
                     const Pauli pb = (Pauli)((pp >> 2) & 3);
                     fn(round, ProbClass::P15,
-                       propagate(k, {{op.q0, pa}, {op.q1, pb}}));
+                       combine(next_set,
+                               frameBits(pa) | frameBits(pb) << 2));
                 }
                 break;
               case OpType::Reset:
-                fn(round, ProbClass::P1, propagate(k, {{op.q0,
-                                                        Pauli::X}}));
+                fn(round, ProbClass::P1, combine(next_set, 1));
                 break;
               case OpType::Measure:
               case OpType::MeasureX:
-                fn(op.finalData ? rounds_ : round, ProbClass::P1,
-                   measureFlip(op));
+                outcomeFlips(op, sig_);
+                fn(op.finalData ? rounds_ : round, ProbClass::P1, sig_);
                 break;
               case OpType::LeakageIswap:
                 panic("base circuit must not contain DQLR ops");
@@ -227,91 +205,135 @@ class Enumerator
     }
 
   private:
-    /** Signature of flipping one measurement outcome. */
-    Signature
-    measureFlip(const Op &op)
+    /** Sets recorded per op: X then Z of each operand a fault hits. */
+    static int
+    operandSets(const Op &op)
     {
-        flips_.clear();
-        bool obs = false;
+        switch (op.type) {
+          case OpType::DataNoise:
+          case OpType::H:
+            return 2;
+          case OpType::Cnot:
+            return 4;
+          case OpType::Reset:
+            return 1;  // reset errors are X flips only
+          default:
+            return 0;
+        }
+    }
+
+    /** Walk the circuit in reverse, recording each op's operand sets
+     *  as they stand just after the op. */
+    void
+    sweepBackward()
+    {
+        std::vector<Signature> x(numQubits_);
+        std::vector<Signature> z(numQubits_);
+        size_t sets = 0;
+        for (const Op &op : circuit_.ops)
+            sets += operandSets(op);
+        setEnd_.reserve(sets);
+        setObs_.reserve(sets);
+        auto record = [&](const Signature &s) {
+            arena_.insert(arena_.end(), s.dets.begin(), s.dets.end());
+            setEnd_.push_back((uint32_t)arena_.size());
+            setObs_.push_back(s.obs);
+        };
+        auto xor_sets = [&](Signature &dst, const Signature &src) {
+            xorInto(dst, src.dets.data(),
+                    src.dets.data() + src.dets.size(), src.obs,
+                    scratch_);
+        };
+        for (auto it = circuit_.ops.rbegin(); it != circuit_.ops.rend();
+             ++it) {
+            const Op &op = *it;
+            const int q = op.q0;
+            switch (op.type) {
+              case OpType::RoundStart:
+                break;
+              case OpType::DataNoise:
+                record(x[q]);
+                record(z[q]);
+                break;
+              case OpType::H:
+                record(x[q]);
+                record(z[q]);
+                std::swap(x[q], z[q]);
+                break;
+              case OpType::Cnot:
+                record(x[q]);
+                record(z[q]);
+                record(x[op.q1]);
+                record(z[op.q1]);
+                xor_sets(x[q], x[op.q1]);
+                xor_sets(z[op.q1], z[q]);
+                break;
+              case OpType::Reset:
+                record(x[q]);
+                x[q] = Signature{};
+                z[q] = Signature{};
+                break;
+              case OpType::Measure:
+              case OpType::MeasureX:
+                outcomeFlips(op, sig_);
+                xor_sets(op.type == OpType::Measure ? x[q] : z[q], sig_);
+                break;
+              case OpType::LeakageIswap:
+                panic("base circuit must not contain DQLR ops");
+            }
+        }
+    }
+
+    /** XOR of the recorded sets first_set + i for each set bit i of
+     *  `mask`, left in sig_. */
+    const Signature &
+    combine(size_t first_set, int mask)
+    {
+        sig_.dets.clear();
+        sig_.obs = false;
+        for (size_t s = first_set; mask; ++s, mask >>= 1) {
+            if (mask & 1)
+                xorInto(sig_, arena_.data() + (s ? setEnd_[s - 1] : 0),
+                        arena_.data() + setEnd_[s], setObs_[s] != 0,
+                        scratch_);
+        }
+        return sig_;
+    }
+
+    /** Detectors and observable flipped by one measurement's outcome. */
+    void
+    outcomeFlips(const Op &op, Signature &out) const
+    {
+        out.dets.clear();
+        out.obs = false;
         if (op.finalData) {
-            recordFinalFlip(op.q0, obs);
-        } else {
-            recordAncillaFlip(op.stab, op.round);
-        }
-        return finishSignature(obs);
-    }
-
-    /** Propagate Paulis injected after op k through the rest. */
-    Signature
-    propagate(size_t k,
-              std::initializer_list<std::pair<int, Pauli>> inject)
-    {
-        sim_.reset();
-        for (const auto &[q, p] : inject)
-            sim_.injectPauli(q, p);
-        const Op *ops = circuit_.ops.data();
-        sim_.executeRange(ops + k + 1, ops + circuit_.ops.size());
-
-        flips_.clear();
-        bool obs = false;
-        for (const auto &rec : sim_.record()) {
-            if (!rec.flip)
-                continue;
-            if (rec.finalData)
-                recordFinalFlip(rec.qubit, obs);
-            else
-                recordAncillaFlip(rec.stab, rec.round);
-        }
-        return finishSignature(obs);
-    }
-
-    /** Toggle the detectors affected by an ancilla outcome flip. */
-    void
-    recordAncillaFlip(int stab_index, int round)
-    {
-        const int col = bindings_.stabColumn[stab_index];
-        if (col < 0)
+            for (int col : dataColumns_[op.q0])
+                out.dets.push_back(rounds_ * nS_ + col);
+            out.obs = dataObs_[op.q0] != 0;
             return;
-        toggle(round * nS_ + col);
-        toggle((round + 1) * nS_ + col);
+        }
+        const int col = map_.stabColumn[op.stab];
+        if (col >= 0)
+            out.dets = {op.round * nS_ + col,
+                        (op.round + 1) * nS_ + col};
     }
 
-    /** Toggle detectors/observable for a final data outcome flip. */
-    void
-    recordFinalFlip(int data, bool &obs)
-    {
-        for (int col : bindings_.dataColumns[data])
-            toggle(rounds_ * nS_ + col);
-        if (bindings_.dataObs[data])
-            obs = !obs;
-    }
-
-    void
-    toggle(int det)
-    {
-        auto it = std::find(flips_.begin(), flips_.end(), det);
-        if (it != flips_.end())
-            flips_.erase(it);
-        else
-            flips_.push_back(det);
-    }
-
-    Signature
-    finishSignature(bool obs)
-    {
-        Signature sig;
-        sig.dets = flips_;
-        std::sort(sig.dets.begin(), sig.dets.end());
-        sig.obs = obs;
-        return sig;
-    }
-
-    const DemBindings &bindings_;
+    const IrDetectorMap &map_;
+    int numQubits_;
     int rounds_;
     int nS_;
     Circuit circuit_;
-    FrameSimulator sim_;
-    std::vector<int> flips_;
+    /** Per data qubit: detector columns its final readout toggles. */
+    std::vector<std::vector<int>> dataColumns_;
+    /** Per data qubit: whether its final readout flips the logical. */
+    std::vector<uint8_t> dataObs_;
+    /** Recorded sensitivity sets: set i holds the detector ids
+     *  arena_[setEnd_[i-1], setEnd_[i]) and observable bit setObs_[i]. */
+    std::vector<int> arena_;
+    std::vector<uint32_t> setEnd_;
+    std::vector<uint8_t> setObs_;
+    Signature sig_;
+    std::vector<int> scratch_;
 };
 
 /**
@@ -461,30 +483,7 @@ class ModelAssembler
 constexpr int kTileShortRounds = 8;
 
 DetectorModel
-buildModelDirect(const DemBindings &bindings, Circuit circuit,
-                 int rounds, Basis basis)
-{
-    DetectorModel model;
-    model.rounds = rounds;
-    model.basis = basis;
-    model.stabsPerRound = bindings.stabsPerRound;
-
-    Enumerator enumerator(bindings, std::move(circuit), rounds);
-    ModelAssembler assembler;
-    enumerator.forEachMechanism(
-        [&](int, ProbClass cls, const Signature &sig) {
-            assembler.addSignature(sig, cls, model);
-        });
-    assembler.resolvePending(model);
-    model.edges = assembler.take();
-    return model;
-}
-
-/** Tiled build: `short_circuit` is the kTileShortRounds-round image
- *  of the same round body. */
-DetectorModel
-buildModelTiled(const DemBindings &bindings, Circuit short_circuit,
-                int rounds, Basis basis)
+buildModelTiled(const CircuitProgram &prog)
 {
     // Enumerate a short circuit and tile its bulk round through time.
     // Head: mechanisms of round 0 (round-0 detectors are special).
@@ -492,15 +491,16 @@ buildModelTiled(const DemBindings &bindings, Circuit short_circuit,
     // Tail: mechanisms of rounds R0-2, R0-1 and the final data block,
     // shifted by R - R0.
     const int r0 = kTileShortRounds;
-    const int n_s = bindings.stabsPerRound;
+    const int rounds = prog.rounds;
+    const int n_s = prog.detectors.cols;
 
     DetectorModel model;
     model.rounds = rounds;
-    model.basis = basis;
+    model.basis = prog.basis;
     model.stabsPerRound = n_s;
 
     // Collect per-group signature lists from the short circuit.
-    Enumerator enumerator(bindings, std::move(short_circuit), r0);
+    Enumerator enumerator(prog, prog.baseCircuit(r0), r0);
     ModelAssembler assembler;
 
     auto shift_sig = [&](const Signature &sig, int dr) {
@@ -537,42 +537,30 @@ buildModelTiled(const DemBindings &bindings, Circuit short_circuit,
 } // namespace
 
 DetectorModel
-buildDetectorModelDirect(const RotatedSurfaceCode &code, int rounds,
-                         Basis basis)
-{
-    return buildModelDirect(latticeDemBindings(code, basis),
-                            buildMemoryCircuit(code, rounds, basis),
-                            rounds, basis);
-}
-
-DetectorModel
-buildDetectorModel(const RotatedSurfaceCode &code, int rounds,
-                   Basis basis)
-{
-    if (rounds <= kTileShortRounds)
-        return buildDetectorModelDirect(code, rounds, basis);
-    return buildModelTiled(
-        latticeDemBindings(code, basis),
-        buildMemoryCircuit(code, kTileShortRounds, basis), rounds,
-        basis);
-}
-
-DetectorModel
 buildDetectorModelDirect(const CircuitProgram &prog)
 {
-    return buildModelDirect(programDemBindings(prog),
-                            prog.baseCircuit(), prog.rounds,
-                            prog.basis);
+    DetectorModel model;
+    model.rounds = prog.rounds;
+    model.basis = prog.basis;
+    model.stabsPerRound = prog.detectors.cols;
+
+    Enumerator enumerator(prog, prog.baseCircuit(), prog.rounds);
+    ModelAssembler assembler;
+    enumerator.forEachMechanism(
+        [&](int, ProbClass cls, const Signature &sig) {
+            assembler.addSignature(sig, cls, model);
+        });
+    assembler.resolvePending(model);
+    model.edges = assembler.take();
+    return model;
 }
 
 DetectorModel
 buildDetectorModel(const CircuitProgram &prog)
 {
-    if (prog.rounds <= kTileShortRounds)
-        return buildDetectorModelDirect(prog);
-    return buildModelTiled(programDemBindings(prog),
-                           prog.baseCircuit(kTileShortRounds),
-                           prog.rounds, prog.basis);
+    return prog.rounds <= kTileShortRounds
+               ? buildDetectorModelDirect(prog)
+               : buildModelTiled(prog);
 }
 
 } // namespace qec

@@ -12,8 +12,12 @@
  * type protecting the memory basis.
  *
  * The builder enumerates every Pauli-noise mechanism of the base
- * (no-LRC) circuit, propagates it through the frame simulator, and
- * records which detectors (and whether the logical observable) flip.
+ * (no-LRC) circuit of a compiled program and records which detectors
+ * (and whether the logical observable) flip. One backward
+ * detector-sensitivity sweep over the circuit yields every signature:
+ * walking the ops in reverse, each qubit carries the detectors an X or
+ * a Z frame on it would flip from that point on, and a fault's
+ * signature is the XOR of its components' sets at its location.
  * Mechanisms with identical signatures are merged, keeping counts per
  * probability class so edge probabilities can be re-evaluated for any
  * physical error rate p without re-enumeration. For long experiments
@@ -30,7 +34,6 @@
 #include <vector>
 
 #include "code/circuit_ir.h"
-#include "code/rotated_surface_code.h"
 #include "code/types.h"
 
 namespace qec
@@ -90,24 +93,11 @@ struct DetectorModel
 };
 
 /**
- * Build the DEM for `rounds` rounds of the given code and memory
- * basis. Uses direct enumeration for short experiments and
- * time-translation tiling for long ones (identical results).
- */
-DetectorModel buildDetectorModel(const RotatedSurfaceCode &code,
-                                 int rounds, Basis basis);
-
-/** Direct (non-tiled) enumeration, exposed for equivalence tests. */
-DetectorModel buildDetectorModelDirect(const RotatedSurfaceCode &code,
-                                       int rounds, Basis basis);
-
-/**
  * Build the DEM of a compiled circuit program from its own
- * measure→detector/observable map (no lattice walking): the enumerator
- * propagates mechanisms through the program's base circuit and routes
- * outcome flips through `prog.detectors`. For surface-memory programs
- * this reproduces the code-based builder exactly; for new protocol
- * families (repetition memory) it is the only builder.
+ * measure→detector/observable map (no lattice walking): the sweep runs
+ * over the program's base circuit and routes outcome flips through
+ * `prog.detectors`. Uses direct enumeration for short experiments and
+ * time-translation tiling for long ones (identical edge sets).
  */
 DetectorModel buildDetectorModel(const CircuitProgram &prog);
 

@@ -195,8 +195,8 @@ runPostSelectedExperimentBatched(const RotatedSurfaceCode &code,
                                  const ExperimentConfig &config,
                                  const PostSelectOptions &options)
 {
-    DetectorModel dem =
-        buildDetectorModel(code, config.rounds, config.basis);
+    DetectorModel dem = buildDetectorModel(CircuitCompiler::surfaceMemory(
+        code, config.rounds, config.basis, IrTailKind::SwapLrc));
     MwpmDecoder decoder(dem, config.em.p, config.decoderOptions);
     Circuit circuit =
         buildMemoryCircuit(code, config.rounds, config.basis);
@@ -254,8 +254,8 @@ runPostSelectedExperiment(const RotatedSurfaceCode &code,
     if (config.batchWidth > 1)
         return runPostSelectedExperimentBatched(code, config, options);
 
-    DetectorModel dem =
-        buildDetectorModel(code, config.rounds, config.basis);
+    DetectorModel dem = buildDetectorModel(CircuitCompiler::surfaceMemory(
+        code, config.rounds, config.basis, IrTailKind::SwapLrc));
     MwpmDecoder decoder(dem, config.em.p, config.decoderOptions);
     Circuit circuit =
         buildMemoryCircuit(code, config.rounds, config.basis);

@@ -78,14 +78,9 @@ SweepBuildCache::build(const SweepPoint &point,
     auto dem_it = dems_.find(dem_key);
     if (dem_it == dems_.end()) {
         dem_it = dems_
-                     .emplace(dem_key,
-                              std::make_shared<DetectorModel>(
-                                  family == CircuitFamily::SurfaceMemory
-                                      ? buildDetectorModel(
-                                            *out.code, point.rounds,
-                                            point.config.basis)
-                                      : buildDetectorModel(
-                                            *out.program)))
+                     .emplace(dem_key, std::make_shared<DetectorModel>(
+                                           buildDetectorModel(
+                                               *out.program)))
                      .first;
         ++summary.demsBuilt;
     } else {

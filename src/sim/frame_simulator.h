@@ -83,7 +83,7 @@ class FrameSimulator
     /** Number of currently leaked qubits (for LPR accounting). */
     int countLeaked(int first, int last) const;
 
-    /** Test/DEM hook: XOR a Pauli into a qubit's frame. */
+    /** Test hook: XOR a Pauli into a qubit's frame. */
     void injectPauli(int q, Pauli p);
     /** Test hook: force a qubit's leakage state. */
     void setLeaked(int q, bool leaked);

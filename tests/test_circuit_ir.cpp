@@ -11,13 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <tuple>
 
 #include "code/circuit_ir.h"
 #include "decoder/detector_model.h"
 #include "exp/handwired_reference.h"
 #include "exp/memory_experiment.h"
+#include "surface_dem.h"
 
 namespace qec
 {
@@ -146,40 +147,40 @@ TEST(CircuitIrValidate, RejectsBadRoundCount)
 
 // ---------------------------------------------- detector-model parity
 
-using EdgeKey = std::tuple<int, int, bool>;
-using EdgeMap = std::map<EdgeKey, std::tuple<int, int, int>>;
-
-EdgeMap
-toMap(const DetectorModel &model)
+struct ProgramDemPin
 {
-    EdgeMap map;
-    for (const auto &e : model.edges) {
-        auto &counts = map[EdgeKey{e.a, e.b, e.obsFlip}];
-        std::get<0>(counts) += e.n1;
-        std::get<1>(counts) += e.n3;
-        std::get<2>(counts) += e.n15;
-    }
-    return map;
-}
+    int d;
+    int rounds;
+    Basis basis;
+    uint64_t digest;  ///< demDigest of buildDetectorModel(program).
+};
 
-TEST(CircuitIrDem, ProgramModelMatchesLatticeModel)
+/** Recorded while the lattice-walking builder still existed; it and
+ *  the program builder agreed edge for edge, in order, on every row.
+ *  Rounds 4 exercises direct enumeration, 12 the tiling path. */
+const ProgramDemPin kProgramDemPins[] = {
+    {3, 4, Basis::Z, 0x640b5d47f736f210ULL},
+    {3, 4, Basis::X, 0x8b50b5a535f45df8ULL},
+    {3, 12, Basis::Z, 0x0777c8de91d63f08ULL},
+    {3, 12, Basis::X, 0x3cf324b7408dc820ULL},
+    {5, 4, Basis::Z, 0x4c81188aaccdbfa8ULL},
+    {5, 4, Basis::X, 0xb20b795142c1e9e8ULL},
+    {5, 12, Basis::Z, 0x267d24424bccb056ULL},
+    {5, 12, Basis::X, 0x0a391ffe858468f6ULL},
+};
+
+TEST(CircuitIrDem, ProgramModelMatchesGoldenModel)
 {
-    for (int d : {3, 5}) {
-        RotatedSurfaceCode code(d);
-        // 4 exercises direct enumeration, 12 the tiling path.
-        for (int rounds : {4, 12}) {
-            for (Basis basis : {Basis::Z, Basis::X}) {
-                CircuitProgram prog = CircuitCompiler::surfaceMemory(
-                    code, rounds, basis, IrTailKind::SwapLrc);
-                DetectorModel from_code =
-                    buildDetectorModel(code, rounds, basis);
-                DetectorModel from_prog = buildDetectorModel(prog);
-                EXPECT_EQ(from_prog.rounds, from_code.rounds);
-                EXPECT_EQ(from_prog.stabsPerRound,
-                          from_code.stabsPerRound);
-                EXPECT_EQ(toMap(from_prog), toMap(from_code))
-                    << "d=" << d << " rounds=" << rounds;
-            }
+    for (const ProgramDemPin &pin : kProgramDemPins) {
+        RotatedSurfaceCode code(pin.d);
+        // The model is built from the base circuit, so the LRC tail
+        // the program carries must not move it.
+        for (IrTailKind tail : {IrTailKind::SwapLrc, IrTailKind::Dqlr}) {
+            CircuitProgram prog = CircuitCompiler::surfaceMemory(
+                code, pin.rounds, pin.basis, tail);
+            EXPECT_EQ(demDigest(buildDetectorModel(prog)), pin.digest)
+                << "d=" << pin.d << " rounds=" << pin.rounds
+                << " basis=" << (pin.basis == Basis::Z ? "Z" : "X");
         }
     }
 }

@@ -41,6 +41,7 @@
 #include "decoder/union_find_decoder.h"
 #include "exp/memory_experiment.h"
 #include "sim/frame_simulator.h"
+#include "surface_dem.h"
 
 // ---------------------------------------------------------------------
 // Global allocation counter (same instrumentation as
@@ -124,7 +125,7 @@ TEST(ComponentDecode, SplitBracketsBruteForceComponents)
     // > 2h hops apart, verified against the exact BFS distance.
     RotatedSurfaceCode code(5);
     const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     ComponentGraph graph(dem, 1e-3);
     const int h = 2;
 
@@ -174,7 +175,7 @@ TEST(ComponentDecode, CompositionPinsWholeShotVerdicts)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
 
@@ -199,7 +200,7 @@ TEST(ComponentDecode, CacheHitReplaysIdenticalVerdict)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
 
@@ -224,7 +225,7 @@ TEST(ComponentDecode, CanonicalKeyReplaysTimeTranslatedComponent)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 12;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
     ASSERT_TRUE(graph->bulkValid());
@@ -257,7 +258,7 @@ TEST(ComponentDecode, WindowedVerdictsBitIdenticalAcrossShapes)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 15;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     ASSERT_GE(decoder.windowCommitBound(), 0);
     auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
@@ -290,7 +291,7 @@ TEST(ComponentDecode, WindowedBoundaryCases)
 {
     RotatedSurfaceCode code(3);
     const int rounds = 9;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
     const int rows = graph->rows();
@@ -333,7 +334,7 @@ TEST(ComponentDecode, WindowedMwpmDefersEverythingAndStaysExact)
     // one commit and no cluster machinery.
     RotatedSurfaceCode code(3);
     const int rounds = 9;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
     EXPECT_LT(decoder.windowCommitBound(), 0);
     auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
@@ -361,7 +362,7 @@ TEST(ComponentDecode, WindowedDecodeIsAllocationFreeInSteadyState)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 12;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
 
@@ -398,7 +399,7 @@ TEST(ComponentDecode, WindowedFootprintBoundedByWindowNotRunLength)
     const double p = 3e-3;
 
     auto footprint_for = [&](int rounds) {
-        DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+        DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
         UnionFindDecoder decoder(dem, p);
         auto graph = std::make_shared<const ComponentGraph>(dem, p);
         BatchDecodeOptions options;

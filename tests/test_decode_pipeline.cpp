@@ -39,6 +39,7 @@
 #include "exp/memory_experiment.h"
 #include "sim/batch_frame_simulator.h"
 #include "sim/frame_simulator.h"
+#include "surface_dem.h"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps
@@ -119,7 +120,7 @@ TEST(DecodePipeline, BatchDecoderPinsPerShotMwpmVerdicts)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 8;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
     BatchDecoder pipeline(decoder);
 
@@ -140,7 +141,7 @@ TEST(DecodePipeline, BatchDecoderPinsPerShotUnionFindVerdicts)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 8;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     BatchDecoder pipeline(decoder);
 
@@ -155,7 +156,7 @@ TEST(DecodePipeline, CacheReplayMatchesDecodeAndCounts)
 {
     RotatedSurfaceCode code(3);
     const int rounds = 4;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
     BatchDecoder pipeline(decoder);
 
@@ -224,7 +225,7 @@ TEST(DecodePipeline, WorkspaceReuseMatchesFreshWorkspaces)
     // workspace reproduce fresh-workspace verdicts for both decoders.
     RotatedSurfaceCode code(5);
     const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder mwpm(dem, 1e-3);
     UnionFindDecoder uf(dem, 1e-3);
 
@@ -251,7 +252,7 @@ TEST(DecodePipeline, DuplicateDefectIdsTerminate)
     // intrusive frontier list (self-cycle -> infinite loop) and must
     // decode like a single occurrence for both decoders.
     RotatedSurfaceCode code(3);
-    DetectorModel dem = buildDetectorModel(code, 3, Basis::Z);
+    DetectorModel dem = surfaceDem(code, 3, Basis::Z);
     UnionFindDecoder uf(dem, 1e-3);
     MwpmDecoder mwpm(dem, 1e-3);
 
@@ -267,7 +268,7 @@ TEST(DecodePipeline, DuplicateDefectIdsTerminate)
 TEST(DecodePipeline, ZeroDefectFastPath)
 {
     RotatedSurfaceCode code(3);
-    DetectorModel dem = buildDetectorModel(code, 3, Basis::Z);
+    DetectorModel dem = surfaceDem(code, 3, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
     BatchDecoder pipeline(decoder);
 
@@ -284,7 +285,7 @@ TEST(DecodePipeline, UnionFindDecodeIsAllocationFreeInSteadyState)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
 
     auto shots = sampleDefectSets(code, rounds, 40, 3e-3, 74);
@@ -309,7 +310,7 @@ TEST(DecodePipeline, UnionFindDecodeIsAllocationFreeInSteadyState)
 TEST(DecodePipeline, ZeroDefectDecodeAllocatesNothingForBothDecoders)
 {
     RotatedSurfaceCode code(3);
-    DetectorModel dem = buildDetectorModel(code, 3, Basis::Z);
+    DetectorModel dem = surfaceDem(code, 3, Basis::Z);
     MwpmDecoder mwpm(dem, 1e-3);
     UnionFindDecoder uf(dem, 1e-3);
     DecodeWorkspace ws;
@@ -329,7 +330,7 @@ TEST(DecodePipeline, MwpmDecodeIsAllocationFreeInSteadyState)
     // vectors on every matching call).
     RotatedSurfaceCode code(5);
     const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
 
     auto shots = sampleDefectSets(code, rounds, 40, 3e-3, 76);
@@ -426,7 +427,7 @@ TEST(DecodePipeline, TruncatedKeyVerdictsMatchExactPipeline)
     // hit counts must match the exact pipeline shot for shot.
     RotatedSurfaceCode code(3);
     const int rounds = 6;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
 
     auto shots = sampleDefectSets(code, rounds, 600, 1.5e-3, 77);
@@ -490,7 +491,7 @@ TEST(DecodePipeline, MwpmWorkspaceFootprintStabilizes)
     // state.
     RotatedSurfaceCode code(5);
     const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
 
     auto shots = sampleDefectSets(code, rounds, 60, 3e-3, 75);

@@ -14,6 +14,7 @@
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
 #include "sim/frame_simulator.h"
+#include "surface_dem.h"
 
 namespace qec
 {
@@ -96,7 +97,7 @@ TEST_P(SingleFaultSweep, EverySingleFaultCorrected)
     const auto [rounds, basis] = GetParam();
     RotatedSurfaceCode code(3);
     Circuit circuit = buildMemoryCircuit(code, rounds, basis);
-    DetectorModel dem = buildDetectorModel(code, rounds, basis);
+    DetectorModel dem = surfaceDem(code, rounds, basis);
     MwpmDecoder decoder(dem, 1e-3);
 
     auto faults = enumerateFaults(circuit, true);
@@ -122,7 +123,7 @@ TEST(Decoder, SampledDoubleFaultsCorrectedAtD5)
     RotatedSurfaceCode code(5);
     const int rounds = 3;
     Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
 
     auto faults = enumerateFaults(circuit, false);
@@ -143,7 +144,7 @@ TEST(Decoder, SampledDoubleFaultsCorrectedAtD5)
 TEST(Decoder, EmptyDefectsPredictNoFlip)
 {
     RotatedSurfaceCode code(3);
-    DetectorModel dem = buildDetectorModel(code, 2, Basis::Z);
+    DetectorModel dem = surfaceDem(code, 2, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
     EXPECT_FALSE(decoder.decode({}));
 }
@@ -151,7 +152,7 @@ TEST(Decoder, EmptyDefectsPredictNoFlip)
 TEST(Decoder, GraphNonTrivial)
 {
     RotatedSurfaceCode code(3);
-    DetectorModel dem = buildDetectorModel(code, 3, Basis::Z);
+    DetectorModel dem = surfaceDem(code, 3, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
     EXPECT_EQ(decoder.numDetectors(), dem.numDetectors());
     EXPECT_GT(decoder.numGraphEdges(), 20u);
@@ -180,7 +181,7 @@ TEST(Decoder, LogicalChainIsDecodedAsFlip)
     EXPECT_TRUE(outcome.defects.empty());
     EXPECT_TRUE(outcome.observableFlip);
 
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
     EXPECT_FALSE(decoder.decode(outcome.defects));
 }
@@ -190,7 +191,7 @@ TEST(Decoder, NeighborLimitStillCorrectsSingles)
     RotatedSurfaceCode code(3);
     const int rounds = 2;
     Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     DecoderOptions opts;
     opts.neighborLimit = 2;   // aggressive truncation
     MwpmDecoder decoder(dem, 1e-3, opts);

@@ -22,6 +22,7 @@
 #include "decoder/mwpm_decoder.h"
 #include "exp/memory_experiment.h"
 #include "sim/frame_simulator.h"
+#include "surface_dem.h"
 
 namespace qec
 {
@@ -91,7 +92,7 @@ class DemEdgeStructure : public ::testing::TestWithParam<int>
   protected:
     DemEdgeStructure()
         : code_(GetParam()),
-          dem_(buildDetectorModelDirect(code_, 5, Basis::Z))
+          dem_(surfaceDemDirect(code_, 5, Basis::Z))
     {
     }
 
@@ -321,7 +322,7 @@ TEST(DecoderProperty, WeightsRespondToP)
     // priors; at minimum the decoder must stay consistent and the
     // graph must rebuild cleanly for several p values.
     RotatedSurfaceCode code(3);
-    DetectorModel dem = buildDetectorModel(code, 4, Basis::Z);
+    DetectorModel dem = surfaceDem(code, 4, Basis::Z);
     for (double p : {1e-4, 1e-3, 1e-2}) {
         MwpmDecoder decoder(dem, p);
         EXPECT_FALSE(decoder.decode({}));
@@ -334,7 +335,7 @@ TEST(DecoderProperty, MemoryXSingleFaultsSampled)
     RotatedSurfaceCode code(5);
     const int rounds = 2;
     Circuit circuit = buildMemoryCircuit(code, rounds, Basis::X);
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::X);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::X);
     MwpmDecoder decoder(dem, 1e-3);
 
     int checked = 0;

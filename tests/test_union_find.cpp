@@ -16,6 +16,7 @@
 #include "decoder/union_find_decoder.h"
 #include "exp/memory_experiment.h"
 #include "sim/frame_simulator.h"
+#include "surface_dem.h"
 
 namespace qec
 {
@@ -48,7 +49,7 @@ TEST_P(UnionFindSweep, EverySingleFaultCorrected)
     const auto [rounds, basis] = GetParam();
     RotatedSurfaceCode code(3);
     Circuit circuit = buildMemoryCircuit(code, rounds, basis);
-    DetectorModel dem = buildDetectorModel(code, rounds, basis);
+    DetectorModel dem = surfaceDem(code, rounds, basis);
     UnionFindDecoder decoder(dem, 1e-3);
 
     for (size_t k = 0; k < circuit.ops.size(); ++k) {
@@ -79,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(UnionFind, EmptyDefectsNoFlip)
 {
     RotatedSurfaceCode code(3);
-    DetectorModel dem = buildDetectorModel(code, 2, Basis::Z);
+    DetectorModel dem = surfaceDem(code, 2, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     EXPECT_FALSE(decoder.decode({}));
 }
@@ -89,7 +90,7 @@ TEST(UnionFind, SampledDoubleFaultsAtD5)
     RotatedSurfaceCode code(5);
     const int rounds = 3;
     Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
 
     // Collect Pauli-capable ops.
@@ -136,7 +137,7 @@ TEST(UnionFind, AgreesWithMwpmOnSparseShots)
     RotatedSurfaceCode code(5);
     const int rounds = 10;
     Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder mwpm(dem, 1e-3);
     UnionFindDecoder uf(dem, 1e-3);
 
@@ -183,7 +184,7 @@ TEST(UnionFind, HandlesLeakageBurstShots)
     // decode without crashing and with sane output.
     RotatedSurfaceCode code(5);
     const int rounds = 8;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
+    DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
     Rng rng(5);
     for (int trial = 0; trial < 50; ++trial) {

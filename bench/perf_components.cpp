@@ -194,11 +194,11 @@ BENCHMARK(BM_BatchFrameSimRound)
     ->Args({11, 256})->Args({11, 512});
 
 /**
- * Whole-experiment throughput of the two engines on the paper's
+ * Whole-experiment throughput across word-group widths on the paper's
  * headline configuration: a d=11 memory experiment driven by the
  * ERASER policy (decode off, so the comparison isolates the
- * simulation + scheduling hot path that the batch engine replaces).
- * Compare the shots/s counters of the scalar and batched variants.
+ * simulation + scheduling hot path). Width 1 runs one-shot groups on
+ * the scalar reference simulator; wider groups run bit-packed planes.
  */
 void
 BM_MemoryExperimentEraser(benchmark::State &state)
@@ -437,10 +437,10 @@ BENCHMARK(BM_ComponentPipelineDecode)
 
 /**
  * End-to-end decoded throughput of the paper's headline d=11 ERASER
- * memory experiment. mode 0: all-scalar (PR 0 baseline); mode 1:
- * batched sim + scalar decode-per-shot loop (PR 1 baseline); mode 2:
- * batched sim + batch-aware decode pipeline. The mode1 -> mode2
- * shots/s ratio is the decode-pipeline speedup.
+ * memory experiment at width 64. mode 1: decode-per-shot loop with
+ * the frozen PR 1 decoders (PR 1 baseline); mode 2: batch-aware
+ * decode pipeline. The mode1 -> mode2 shots/s ratio is the
+ * decode-pipeline speedup.
  */
 void
 BM_MemoryExperimentEraserDecoded(benchmark::State &state)
@@ -457,10 +457,10 @@ BM_MemoryExperimentEraserDecoded(benchmark::State &state)
     cfg.decode = true;
     cfg.decoderKind = union_find ? DecoderKind::UnionFind
                                  : DecoderKind::Mwpm;
-    cfg.batchWidth = mode == 0 ? 1 : 64;
+    cfg.batchWidth = 64;
     cfg.batchDecode = mode == 2;
-    // Modes 0/1 decode with the frozen PR 1 decoders so the mode
-    // ratios track real cross-PR speedups.
+    // Mode 1 decodes with the frozen PR 1 decoders so the mode ratio
+    // tracks real cross-PR speedups.
     const DecoderFactory legacy_factory =
         [union_find](const DetectorModel &dem,
                      double p) -> std::unique_ptr<Decoder> {
@@ -490,8 +490,8 @@ BM_MemoryExperimentEraserDecoded(benchmark::State &state)
 }
 BENCHMARK(BM_MemoryExperimentEraserDecoded)
     ->ArgNames({"mode", "uf"})
-    ->Args({0, 0})->Args({1, 0})->Args({2, 0})
-    ->Args({0, 1})->Args({1, 1})->Args({2, 1})
+    ->Args({1, 0})->Args({2, 0})
+    ->Args({1, 1})->Args({2, 1})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -526,7 +526,7 @@ BM_IrReplayVsHandWired(benchmark::State &state)
     uint64_t shots = 0;
     for (auto _ : state) {
         if (ir) {
-            auto result = exp.runBatched(factory, "eraser");
+            auto result = exp.run(factory, "eraser");
             benchmark::DoNotOptimize(result.logicalErrors);
             shots += result.shots;
         } else {
@@ -607,6 +607,33 @@ BM_DemBuild(benchmark::State &state)
 }
 BENCHMARK(BM_DemBuild)->ArgName("d")->Arg(5)->Arg(11)
     ->Unit(benchmark::kMillisecond);
+
+/** Median and quartiles of a sample (linear interpolation). */
+struct Quartiles
+{
+    double q1 = 0.0;
+    double median = 0.0;
+    double q3 = 0.0;
+};
+
+Quartiles
+quartilesOf(std::vector<double> v)
+{
+    Quartiles q;
+    if (v.empty())
+        return q;
+    std::sort(v.begin(), v.end());
+    const auto at = [&v](double f) {
+        const double pos = f * (double)(v.size() - 1);
+        const size_t lo = (size_t)pos;
+        const size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - (double)lo) * (v[hi] - v[lo]);
+    };
+    q.q1 = at(0.25);
+    q.median = at(0.5);
+    q.q3 = at(0.75);
+    return q;
+}
 
 /**
  * Machine-readable decode-throughput tracking: run the decoded ERASER
@@ -772,7 +799,9 @@ emitDecodeJson()
     // Circuit-IR replay pins: the compiled-program front end must
     // reproduce the frozen pre-IR driver's verdict fingerprint
     // exactly and stay within 5% of its throughput on the decoded
-    // d=11 UF ERASER configuration. CI greps both fields from the
+    // d=11 UF ERASER configuration (median speed ratio over
+    // alternating single-thread pairs; each side's median and
+    // quartiles are recorded too). CI greps both fields from the
     // artifact; the hand-wired side is the verbatim pre-IR runGroupT
     // kept in exp/handwired_reference.h.
     {
@@ -780,7 +809,7 @@ emitDecodeJson()
         RotatedSurfaceCode ir_code(d);
         ExperimentConfig cfg;
         cfg.rounds = 3 * d;
-        cfg.shots = 192;
+        cfg.shots = 1024;
         cfg.seed = 11;
         cfg.em = ErrorModel::standard(1e-3);
         cfg.decode = true;
@@ -797,34 +826,34 @@ emitDecodeJson()
 
         uint64_t hand_fp = 0;
         uint64_t ir_fp = 0;
-        double hand_rate = 0.0;
-        double ir_rate = 0.0;
-        // Best-of-3 each: both paths run identical work, so the max
-        // rates are stable enough for a 5% gate.
-        for (int rep = 0; rep < 3; ++rep) {
+        // Alternating pairs, so host drift hits both sides alike; the
+        // gate is the median of the per-pair speed ratios.
+        constexpr int kPairs = 11;
+        std::vector<double> hand_rates, ir_rates, ratios;
+        const auto rate_of = [](uint64_t shots, double secs) {
+            return (double)shots / (secs > 0.0 ? secs : 1e-9);
+        };
+        for (int pair = 0; pair < kPairs; ++pair) {
             auto t0 = std::chrono::steady_clock::now();
             const HandwiredResult hand = runHandwired(exp, factory);
-            double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
+            hand_rates.push_back(rate_of(
+                hand.shots, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count()));
             hand_fp = hand.verdictFingerprint;
-            const double hr =
-                (double)hand.shots / (secs > 0.0 ? secs : 1e-9);
-            hand_rate = hr > hand_rate ? hr : hand_rate;
 
             t0 = std::chrono::steady_clock::now();
-            const ExperimentResult replay =
-                exp.runBatched(factory, "eraser");
-            secs = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
+            const ExperimentResult replay = exp.run(factory, "eraser");
+            ir_rates.push_back(rate_of(
+                replay.shots, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count()));
             ir_fp = replay.verdictFingerprint;
-            const double ir =
-                (double)replay.shots / (secs > 0.0 ? secs : 1e-9);
-            ir_rate = ir > ir_rate ? ir : ir_rate;
+            ratios.push_back(ir_rates.back() / hand_rates.back());
         }
-        const double ratio =
-            ir_rate / (hand_rate > 0.0 ? hand_rate : 1e-9);
+        const Quartiles hand_q = quartilesOf(hand_rates);
+        const Quartiles ir_q = quartilesOf(ir_rates);
+        const double ratio = quartilesOf(ratios).median;
         // Static-analysis pin: the exact program this entry replays
         // must pass the full IrAnalyzer stack with zero Error
         // diagnostics under the bench error model.
@@ -838,15 +867,20 @@ emitDecodeJson()
             out,
             "\n  ],\n  \"ir_replay\": "
             "{\"decoder\": \"%s\", \"d\": %d, \"rounds\": %d, "
-            "\"shots\": %llu, "
+            "\"shots\": %llu, \"threads\": 1, \"pairs\": %d, "
             "\"handwired_shots_per_s\": %.1f, "
+            "\"handwired_shots_per_s_q1\": %.1f, "
+            "\"handwired_shots_per_s_q3\": %.1f, "
             "\"ir_shots_per_s\": %.1f, "
+            "\"ir_shots_per_s_q1\": %.1f, "
+            "\"ir_shots_per_s_q3\": %.1f, "
             "\"ir_replay_speed_vs_handwired\": %.3f, "
             "\"ir_replay_within_5pct\": %s, "
             "\"ir_verdicts_match_handwired\": %s, "
             "\"ir_analysis_clean\": %s}\n}\n",
             decoderKindName(DecoderKind::UnionFind), d, cfg.rounds,
-            (unsigned long long)cfg.shots, hand_rate, ir_rate, ratio,
+            (unsigned long long)cfg.shots, kPairs, hand_q.median,
+            hand_q.q1, hand_q.q3, ir_q.median, ir_q.q1, ir_q.q3, ratio,
             ratio >= 0.95 ? "true" : "false",
             hand_fp == ir_fp ? "true" : "false",
             analysis_clean ? "true" : "false");

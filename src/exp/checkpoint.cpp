@@ -320,7 +320,8 @@ SweepCheckpoint::serialize() const
             putBool(payload, policy.progress.stopped);
             putF64(payload, policy.seconds);
             putU64(payload, policy.progress.nextSpan);
-            putU64(payload, policy.progress.scalarNext);
+            // Retired per-shot cursor slot, kept for the v1 layout.
+            putU64(payload, 0);
             putResult(payload, policy.progress.total);
         }
     }
@@ -400,7 +401,16 @@ SweepCheckpoint::deserialize(const std::string &bytes)
             policy.progress.stopped = body.boolean();
             policy.seconds = body.f64();
             policy.progress.nextSpan = body.u64();
-            policy.progress.scalarNext = body.u64();
+            // Files from before the per-shot path was retired may
+            // carry a width-1 shot cursor here. Width-1 spans hold one
+            // shot each, so it is the span cursor; restore() then
+            // checks it against the plan.
+            const uint64_t shot_cursor = body.u64();
+            if (shot_cursor != 0 && policy.progress.nextSpan != 0)
+                return dataLossError(
+                    "checkpoint policy record carries both a span "
+                    "and a shot cursor (corrupt payload)");
+            policy.progress.nextSpan += shot_cursor;
             policy.progress.total = readResult(body);
             point.policies.push_back(std::move(policy));
         }

@@ -54,8 +54,8 @@ struct ExperimentConfig
      * code/circuit_ir.h). SurfaceMemory is the paper's protocol;
      * RepetitionMemory is a pure compiler path — same engine, same
      * decode pipeline, no lattice anywhere — protecting the Z basis
-     * only. Non-surface families always run on the batch engine
-     * (the scalar per-shot path walks the surface lattice).
+     * only. Every family replays its compiled program on the batch
+     * engine at every width.
      */
     CircuitFamily family = CircuitFamily::SurfaceMemory;
     ErrorModel em = ErrorModel::standard(1e-3);
@@ -72,13 +72,15 @@ struct ExperimentConfig
     bool trackLpr = false;
     unsigned threads = 0;
     /**
-     * Shots packed per simulator word-group (1..512). 1 selects the
-     * scalar per-shot path; >1 selects the bit-packed batch engine,
-     * which chunks shots into word-groups and is statistically
-     * equivalent (but not draw-for-draw identical) to the scalar
-     * path. Widths above 64 run the SIMD multi-word engine (64 lanes
-     * per plane word, up to 8 words); because every 64-lane block
-     * keeps its own noise streams, 256- and 512-wide runs are
+     * Shots packed per simulator word-group (1..512; 0 means 1). The
+     * batch engine replays the compiled program one word-group at a
+     * time. A 1-lane group delegates to the reference FrameSimulator
+     * seeded per shot, so width 1 is the draw-for-draw reference
+     * stream; wider groups draw bit-packed noise and are
+     * statistically equivalent to it (but not draw-for-draw
+     * identical). Widths above 64 run the SIMD multi-word engine (64
+     * lanes per plane word, up to 8 words); because every 64-lane
+     * block keeps its own noise streams, 256- and 512-wide runs are
      * bit-identical to the corresponding 64-wide runs. 256/512 are
      * the throughput sweet spots on AVX2/AVX-512 hosts (see
      * recommendedBatchWidth()).
@@ -89,8 +91,8 @@ struct ExperimentConfig
      * Drive the batched engine's decode step through the BatchDecoder
      * pipeline (sparse syndromes, zero-defect fast path, dedup cache,
      * reusable workspaces). Verdict-identical to the per-shot decode
-     * loop it replaces; turn off only to benchmark against the scalar
-     * decode baseline.
+     * loop it replaces; turn off only to benchmark against that
+     * decode-per-shot baseline.
      */
     bool batchDecode = true;
     /** Dedup-cache sizing for the batched decode pipeline. */
@@ -137,7 +139,8 @@ struct ExperimentResult
     int numDataQubits = 0;
     int numParityQubits = 0;
 
-    /** Batched decode pipeline counters (zero on the scalar path). */
+    /** Decode pipeline counters (zero when decode or batchDecode is
+     *  off). */
     uint64_t decodedShots = 0;        ///< Shots that ran a real decode.
     uint64_t zeroDefectShots = 0;     ///< Shots skipped (no defects).
     uint64_t syndromeCacheHits = 0;   ///< Shots replayed from cache.
@@ -202,7 +205,7 @@ struct ExperimentResult
 Status validateExperimentConfig(const ExperimentConfig &config);
 
 /**
- * Word-group decomposition shared by every batched driver: (first
+ * Word-group decomposition shared by every word-group driver: (first
  * shot, lane count) spans covering [0, shots), groups of `width`
  * lanes with a ragged tail — except that a tail whose last 64-lane
  * block would hold exactly one lane is split so the final shot forms
@@ -266,22 +269,14 @@ class MemoryExperiment
     ExperimentResult run(PolicyKind kind) const;
 
     /**
-     * Run all shots with a custom policy factory. Dispatches to the
-     * batched engine when config().batchWidth > 1.
+     * Run all shots with a custom policy factory on the batch engine
+     * (word-group width = max(batchWidth, 1)). Width 1 runs 1-lane
+     * groups on the reference FrameSimulator; widths 256/512
+     * reproduce the width-64 runs bit for bit (per-block noise
+     * streams).
      */
     ExperimentResult run(const PolicyFactory &factory,
                          const std::string &name) const;
-
-    /**
-     * Run all shots on the bit-packed batch engine regardless of
-     * config().batchWidth (word-group width = max(batchWidth, 1),
-     * clamped to 512). With width 1 this reproduces the scalar path
-     * draw-for-draw, which the differential tests rely on; widths
-     * 256/512 reproduce the width-64 runs bit for bit (per-block
-     * noise streams).
-     */
-    ExperimentResult runBatched(const PolicyFactory &factory,
-                                const std::string &name) const;
 
     const RotatedSurfaceCode & code() const { return code_; }
     const ExperimentConfig & config() const { return config_; }
@@ -298,7 +293,7 @@ class MemoryExperiment
     {
         return decoder_;
     }
-    /** The compiled circuit program the batched drivers replay
+    /** The compiled circuit program the round driver replays
      *  (never null; validated at construction). Shareable with
      *  sibling experiments of the same shape. */
     std::shared_ptr<const CircuitProgram> program() const
@@ -315,8 +310,6 @@ class MemoryExperiment
   private:
     friend class ExperimentSession;
 
-    void runShot(uint64_t shot, const PolicyFactory &factory,
-                 ExperimentShotStats &stats) const;
     /** One word-group of `lanes` shots starting at `first_shot`, on
      *  the NW-plane-word engine (NW = 1/4/8). */
     template <int NW>

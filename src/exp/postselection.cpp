@@ -4,13 +4,11 @@
 #include <mutex>
 
 #include "base/parallel.h"
-#include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "decoder/batch_decoder.h"
-#include "decoder/defects.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/sparse_syndrome.h"
 #include "sim/batch_frame_simulator.h"
-#include "sim/frame_simulator.h"
 
 namespace qec
 {
@@ -18,50 +16,7 @@ namespace qec
 namespace
 {
 
-/**
- * Offline leakage flagging: any stabilizer accumulating
- * `eventThreshold` detection events within a `window`-round span marks
- * the shot (leaked qubits randomize their checks at ~50% per round, so
- * persistent activity is the leakage signature prior work keys on).
- */
-bool
-shotIsSuspect(const RotatedSurfaceCode &code, int rounds,
-              const std::vector<MeasureRecord> &record,
-              const PostSelectOptions &options)
-{
-    const int n_stabs = code.numStabilizers();
-    std::vector<uint8_t> flips((size_t)n_stabs * rounds, 0);
-    for (const auto &rec : record) {
-        if (rec.stab >= 0 && !rec.finalData)
-            flips[(size_t)rec.round * n_stabs + rec.stab] =
-                rec.flip ? 1 : 0;
-    }
-    for (int s = 0; s < n_stabs; ++s) {
-        int window_events = 0;
-        for (int r = 0; r < rounds; ++r) {
-            const uint8_t prev =
-                r == 0 ? 0 : flips[(size_t)(r - 1) * n_stabs + s];
-            const uint8_t event =
-                flips[(size_t)r * n_stabs + s] ^ prev;
-            window_events += event;
-            if (r >= options.window) {
-                const uint8_t old_prev =
-                    r - options.window == 0
-                        ? 0
-                        : flips[(size_t)(r - options.window - 1) *
-                                    n_stabs + s];
-                window_events -=
-                    flips[(size_t)(r - options.window) * n_stabs + s] ^
-                    old_prev;
-            }
-            if (window_events >= options.eventThreshold)
-                return true;
-        }
-    }
-    return false;
-}
-
-/** Per-worker scratch for the batched suspicion scan. */
+/** Per-worker scratch for the suspicion scan. */
 struct SuspectScratch
 {
     std::vector<uint64_t> flips;    ///< [round][stab][word] planes.
@@ -69,19 +24,21 @@ struct SuspectScratch
 };
 
 /**
- * Word-parallel shotIsSuspect: one bit per lane, any group width.
- * Event words are mostly zero at the rates of interest, so the
- * per-lane window counters are only touched on set bits.
+ * Offline leakage flagging, one bit per lane at any group width: any
+ * stabilizer accumulating `eventThreshold` detection events within a
+ * `window`-round span marks the lane's shot (leaked qubits randomize
+ * their checks at ~50% per round, so persistent activity is the
+ * leakage signature prior work keys on). Event words are mostly zero
+ * at the rates of interest, so the per-lane window counters are only
+ * touched on set bits.
  */
 template <int NW>
 void
-suspectMaskBatched(const RotatedSurfaceCode &code, int rounds,
-                   const std::vector<BatchMeasureRecordT<NW>> &record,
-                   int num_lanes, const PostSelectOptions &options,
-                   SuspectScratch &scratch,
-                   uint64_t suspect[kMaxBatchWords])
+suspectMask(int n_stabs, int rounds,
+            const std::vector<BatchMeasureRecordT<NW>> &record,
+            int num_lanes, const PostSelectOptions &options,
+            SuspectScratch &scratch, uint64_t suspect[kMaxBatchWords])
 {
-    const int n_stabs = code.numStabilizers();
     const int nw = (num_lanes + 63) / 64;
     scratch.flips.assign((size_t)n_stabs * rounds * nw, 0);
     for (const auto &rec : record) {
@@ -130,7 +87,7 @@ suspectMaskBatched(const RotatedSurfaceCode &code, int rounds,
     }
 }
 
-/** Per-worker context of the batched path. */
+/** Per-worker decode and scan state. */
 struct PostSelectContext
 {
     SparseSyndromeExtractor extractor;
@@ -149,27 +106,26 @@ struct GroupTally
 
 template <int NW>
 GroupTally
-runPostSelectGroup(const RotatedSurfaceCode &code,
+runPostSelectGroup(const CircuitProgram &prog,
                    const ExperimentConfig &config,
                    const PostSelectOptions &options,
-                   const Circuit &circuit, PostSelectContext &ctx,
-                   uint64_t first, int W)
+                   PostSelectContext &ctx, uint64_t first, int W)
 {
     using Lane = LaneWord<NW>;
     const int nw = (W + 63) / 64;
     const Lane live = laneMaskOf<Lane>(W);
 
-    BatchFrameSimulatorT<NW> sim(code.numQubits(), config.em, W,
+    BatchFrameSimulatorT<NW> sim(prog.numQubits, config.em, W,
                                  config.seed, first);
-    sim.reserveRecord(circuit.ops.size());
-    sim.executeRange(circuit.ops.data(),
-                     circuit.ops.data() + circuit.ops.size(), live);
+    sim.reserveRecord((size_t)config.rounds * prog.numStabs +
+                      prog.numData);
+    sim.executeProgram(prog);
 
     uint64_t suspect[kMaxBatchWords];
-    suspectMaskBatched(code, config.rounds, sim.record(), W, options,
-                       ctx.suspect, suspect);
-    ctx.extractor.extract(code, config.basis, config.rounds,
-                          sim.record(), W, ctx.syndrome);
+    suspectMask(prog.numStabs, config.rounds, sim.record(), W, options,
+                ctx.suspect, suspect);
+    ctx.extractor.extract(prog.detectors, config.rounds, sim.record(),
+                          W, ctx.syndrome);
     uint64_t predictions[kMaxBatchWords];
     ctx.pipeline->decodeBatch(ctx.syndrome, predictions);
 
@@ -191,15 +147,14 @@ runPostSelectGroup(const RotatedSurfaceCode &code,
 } // namespace
 
 PostSelectResult
-runPostSelectedExperimentBatched(const RotatedSurfaceCode &code,
-                                 const ExperimentConfig &config,
-                                 const PostSelectOptions &options)
+runPostSelectedExperiment(const RotatedSurfaceCode &code,
+                          const ExperimentConfig &config,
+                          const PostSelectOptions &options)
 {
-    DetectorModel dem = buildDetectorModel(CircuitCompiler::surfaceMemory(
-        code, config.rounds, config.basis, IrTailKind::SwapLrc));
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, config.rounds, config.basis, IrTailKind::SwapLrc);
+    DetectorModel dem = buildDetectorModel(prog);
     MwpmDecoder decoder(dem, config.em.p, config.decoderOptions);
-    Circuit circuit =
-        buildMemoryCircuit(code, config.rounds, config.basis);
 
     const uint64_t width = std::min<uint64_t>(
         std::max<unsigned>(config.batchWidth, 1),
@@ -228,61 +183,19 @@ runPostSelectedExperimentBatched(const RotatedSurfaceCode &code,
 
             GroupTally tally;
             if (width <= 64)
-                tally = runPostSelectGroup<1>(code, config, options,
-                                              circuit, ctx, first, W);
+                tally = runPostSelectGroup<1>(prog, config, options,
+                                              ctx, first, W);
             else if (width <= 256)
-                tally = runPostSelectGroup<4>(code, config, options,
-                                              circuit, ctx, first, W);
+                tally = runPostSelectGroup<4>(prog, config, options,
+                                              ctx, first, W);
             else
-                tally = runPostSelectGroup<8>(code, config, options,
-                                              circuit, ctx, first, W);
+                tally = runPostSelectGroup<8>(prog, config, options,
+                                              ctx, first, W);
 
             std::lock_guard<std::mutex> lock(merge);
             result.logicalErrorsAll += tally.errorsAll;
             result.kept += tally.kept;
             result.logicalErrorsKept += tally.errorsKept;
-        },
-        config.threads);
-    return result;
-}
-
-PostSelectResult
-runPostSelectedExperiment(const RotatedSurfaceCode &code,
-                          const ExperimentConfig &config,
-                          const PostSelectOptions &options)
-{
-    if (config.batchWidth > 1)
-        return runPostSelectedExperimentBatched(code, config, options);
-
-    DetectorModel dem = buildDetectorModel(CircuitCompiler::surfaceMemory(
-        code, config.rounds, config.basis, IrTailKind::SwapLrc));
-    MwpmDecoder decoder(dem, config.em.p, config.decoderOptions);
-    Circuit circuit =
-        buildMemoryCircuit(code, config.rounds, config.basis);
-
-    PostSelectResult result;
-    result.shots = config.shots;
-
-    std::mutex merge;
-    parallelFor(
-        config.shots,
-        [&](uint64_t shot) {
-            FrameSimulator sim(code.numQubits(), config.em,
-                               Rng::forShot(config.seed, shot));
-            sim.run(circuit);
-            const bool suspect = shotIsSuspect(
-                code, config.rounds, sim.record(), options);
-            ShotOutcome outcome = extractDefects(
-                code, config.basis, config.rounds, sim.record());
-            const bool error = decoder.decode(outcome.defects) !=
-                               outcome.observableFlip;
-
-            std::lock_guard<std::mutex> lock(merge);
-            result.logicalErrorsAll += error ? 1 : 0;
-            if (!suspect) {
-                ++result.kept;
-                result.logicalErrorsKept += error ? 1 : 0;
-            }
         },
         config.threads);
     return result;

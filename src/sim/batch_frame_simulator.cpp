@@ -30,9 +30,8 @@ BatchFrameSimulatorT<NW>::BatchFrameSimulatorT(int num_qubits,
             "batch simulator lane count out of range for this width");
     if (numLanes_ == 1) {
         // W=1 reference mode at every plane depth: the scalar
-        // simulator, seeded exactly as the scalar experiment path
-        // seeds this shot. Delegating for NW > 1 as well keeps
-        // 1-lane ragged tail groups bit-identical across widths
+        // simulator, seeded per shot. Delegating for NW > 1 as well
+        // keeps 1-lane ragged tail groups bit-identical across widths
         // (e.g. shots = 257 at widths 64 and 256 both simulate shot
         // 256 on this scalar stream).
         scalar_ = std::make_unique<FrameSimulator>(

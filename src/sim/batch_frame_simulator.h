@@ -36,12 +36,10 @@
  *    only on the lanes whose policies scheduled them.
  *
  * With num_lanes == 1 the engine (at every plane depth) delegates to
- * the scalar FrameSimulator seeded exactly as MemoryExperiment seeds
- * shot `first_shot`; the scalar simulator is thereby the W=1
- * reference implementation, which differential tests exploit to
- * check the batched experiment orchestration bit-for-bit against the
- * scalar path — and which keeps 1-lane ragged tail groups identical
- * across widths.
+ * the scalar FrameSimulator seeded per shot (Rng::forShot(seed,
+ * first_shot)); the scalar simulator is thereby the W=1 reference
+ * implementation, whose experiment results the golden W=1 tests pin —
+ * and which keeps 1-lane ragged tail groups identical across widths.
  */
 
 #ifndef QEC_SIM_BATCH_FRAME_SIMULATOR_H

@@ -612,7 +612,11 @@ TEST(DecodePipeline, CustomDecoderFactoryIsUsed)
     cfg.shots = 50;
     cfg.seed = 5;
     cfg.em = ErrorModel::noiseless();
-    cfg.batchWidth = 1;   // scalar path also goes through decoder_
+    cfg.batchWidth = 1;
+    // The decode-per-shot loop hands every shot to decoder_, empty
+    // syndromes included (the pipeline's zero-defect fast path would
+    // answer those without asking the decoder).
+    cfg.batchDecode = false;
     MemoryExperiment exp(code, cfg,
                          [](const DetectorModel &, double) {
                              return std::make_unique<AlwaysFlip>();

@@ -182,26 +182,43 @@ TEST(PostSelection, DiscardsLeakyShotsAndImprovesLer)
     EXPECT_LT(result.lerKept(), result.lerAll());
 }
 
-TEST(PostSelection, BatchedWidth1MatchesScalarExactly)
+TEST(PostSelection, Width1MatchesGolden)
 {
-    // The W=1 batch engine delegates to the scalar simulator shot for
-    // shot, so the batched suspicion scan + decode pipeline must
-    // reproduce the scalar path's kept counts and logical errors
-    // exactly, draw for draw.
+    // Kept and error counts recorded from the per-shot post-selection
+    // loop (one FrameSimulator per shot over the lattice-built memory
+    // circuit) before it was retired. The W=1 word-group driver runs
+    // each shot on the same reference simulator, so the program
+    // replay, suspicion scan and decode pipeline must reproduce them
+    // draw for draw.
+    struct Golden
+    {
+        int rounds;
+        uint64_t shots, seed;
+        double p;
+        Basis basis;
+        uint64_t kept, errorsAll, errorsKept;
+    };
+    const Golden goldens[] = {
+        {12, 120, 95, 2e-3, Basis::Z, 111, 2, 0},
+        {12, 300, 96, 6e-3, Basis::Z, 185, 40, 16},
+        {10, 200, 97, 6e-3, Basis::X, 151, 17, 9},
+    };
     RotatedSurfaceCode code(3);
-    ExperimentConfig cfg;
-    cfg.rounds = 12;
-    cfg.shots = 120;
-    cfg.seed = 95;
-    cfg.em = ErrorModel::standard(2e-3);
-
-    auto scalar = runPostSelectedExperiment(code, cfg);
-    cfg.batchWidth = 1;
-    auto batched = runPostSelectedExperimentBatched(code, cfg);
-    EXPECT_EQ(batched.shots, scalar.shots);
-    EXPECT_EQ(batched.kept, scalar.kept);
-    EXPECT_EQ(batched.logicalErrorsAll, scalar.logicalErrorsAll);
-    EXPECT_EQ(batched.logicalErrorsKept, scalar.logicalErrorsKept);
+    for (const Golden &g : goldens) {
+        ExperimentConfig cfg;
+        cfg.rounds = g.rounds;
+        cfg.shots = g.shots;
+        cfg.seed = g.seed;
+        cfg.em = ErrorModel::standard(g.p);
+        cfg.basis = g.basis;
+        cfg.batchWidth = 1;
+        const PostSelectResult r = runPostSelectedExperiment(code, cfg);
+        EXPECT_EQ(r.shots, g.shots) << "seed " << g.seed;
+        EXPECT_EQ(r.kept, g.kept) << "seed " << g.seed;
+        EXPECT_EQ(r.logicalErrorsAll, g.errorsAll) << "seed " << g.seed;
+        EXPECT_EQ(r.logicalErrorsKept, g.errorsKept)
+            << "seed " << g.seed;
+    }
 }
 
 TEST(PostSelection, BatchedW64AgreesStatistically)

@@ -349,7 +349,7 @@ TEST_F(FaultTolerance, SessionRestoreResumesBitIdenticallyBatched)
     expectResultIdentical(second.result(), reference.result());
 }
 
-TEST_F(FaultTolerance, SessionRestoreResumesBitIdenticallyScalar)
+TEST_F(FaultTolerance, SessionRestoreResumesBitIdenticallyWidth1)
 {
     RotatedSurfaceCode code(3);
     const ExperimentConfig cfg = smallConfig(6, 200, 1);
@@ -358,10 +358,13 @@ TEST_F(FaultTolerance, SessionRestoreResumesBitIdenticallyScalar)
     ExperimentSession reference(exp, PolicyKind::Eraser);
     reference.runToCompletion();
 
+    // Width-1 spans hold one shot each, so any chunk size is a span
+    // boundary.
     ExperimentSession first(exp, PolicyKind::Eraser);
     first.runChunk(70);
     const SessionProgress snapshot = first.progress();
-    EXPECT_EQ(snapshot.scalarNext, 70u);
+    EXPECT_EQ(snapshot.nextSpan, 70u);
+    EXPECT_EQ(snapshot.total.shots, 70u);
 
     ExperimentSession second(exp, PolicyKind::Eraser);
     ASSERT_TRUE(second.restore(snapshot).isOk());
@@ -502,6 +505,30 @@ TEST_F(FaultTolerance, CorruptCheckpointsAreRejectedWithDataLoss)
         EXPECT_EQ(st.code(), StatusCode::DataLoss);
         EXPECT_NE(st.message().find("magic"), std::string::npos);
     }
+}
+
+TEST_F(FaultTolerance, CheckpointWithSpanAndShotCursorIsRejected)
+{
+    // A qec.ckpt.v1 record whose span cursor (2) and retired width-1
+    // shot cursor slot (128) are both nonzero: CRC-valid, but no
+    // writer ever produced it, so the load fails instead of guessing.
+    std::string bytes;
+    const std::string hex =
+    "7165632e636b707401000000c528e2a2f3000000000000006036e05449167264"
+    "010000000000000000000000000000005717a6b0fb2348630001000000000000"
+    "0000000000000000000000000002000000000000008000000000000000060000"
+    "0000000000455241534552800000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000";
+    for (size_t i = 0; i + 1 < hex.size(); i += 2)
+        bytes.push_back(
+            (char)std::stoi(hex.substr(i, 2), nullptr, 16));
+    const Status st = SweepCheckpoint::deserialize(bytes).status();
+    EXPECT_EQ(st.code(), StatusCode::DataLoss);
+    EXPECT_NE(st.message().find("cursor"), std::string::npos);
 }
 
 TEST_F(FaultTolerance, RunnerRefusesCorruptCheckpoint)

@@ -202,8 +202,16 @@ struct DecodeWorkspace
         int j;
         double w;
         uint8_t obs;
+        /** Next candidate with the same i (-1 ends the chain); valid
+         *  only while the Dijkstra emits candidates. */
+        int next;
     };
+    /** One entry per distinct defect pair: the lightest (w, obs)
+     *  path seen where the two regions meet. */
     std::vector<Cand> mwCands;
+    /** Per-defect head of its candidate chain (index into mwCands,
+     *  -1 = none): the dedup index used while emitting. */
+    std::vector<int> mwCandHead;
     std::vector<MatchEdge> mwEdges;
     /** Per-defect boundary route (distance, observable parity). */
     std::vector<double> mwBDist;
@@ -297,7 +305,7 @@ struct DecodeWorkspace
                bytes(compMerged) + bytes(compReach) +
                bytes(compVerdict) + bytes(mwStamp) + bytes(mwDist) +
                bytes(mwObs) + bytes(mwSettled) + bytes(mwOwner) +
-               bytes(mwHeap) + bytes(mwCands) +
+               bytes(mwHeap) + bytes(mwCands) + bytes(mwCandHead) +
                bytes(mwEdges) + bytes(mwBDist) + bytes(mwBObs) +
                bytes(mwPartner) + bytes(mwCompParent) +
                bytes(mwCompKeys) + bytes(mwCandByComp) +

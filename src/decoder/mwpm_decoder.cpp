@@ -145,29 +145,34 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
         ws.mwBObs.resize(n);
         ws.mwLocalIndex.resize(n);
         ws.mwCompParent.resize(n);
+        ws.mwCandHead.resize(n);
     }
     ws.mwCands.clear();
+    std::fill_n(ws.mwCandHead.begin(), n, -1);
 
     // Largest boundary distance among this shot's defects: a defect
     // pair whose connecting path is longer than both boundary routes
     // combined is never matched (pairing each with the boundary is at
-    // most as expensive), so no Dijkstra needs to search beyond its
-    // own boundary distance plus this maximum.
+    // most as expensive). A candidate found while settling a node at
+    // distance d is at least 2d long, so growth stops at this radius
+    // (see the header for why the result is unchanged).
     double bmax_shot = 0.0;
     for (int i = 0; i < n; ++i) {
         bmax_shot = std::max(
             bmax_shot, std::min(boundaryDist_[defects[i]],
                                 kMaxWeight));
     }
+    const double radius = bmax_shot * (1.0 + 1.0e-9);
 
-    // Reach certificate: every settle obeys nd <= bdist_i + bmax_shot.
-    // The certificate stores ceil(bmax_shot / minEdgeW_) + 1 (the +1
-    // covers the meeting edge a candidate probe crosses past a settled
-    // frontier); the bdist_i term — bounded by the enclosing shot's
-    // bmax — is supplied separately by componentSlackHops, so the
-    // composition guard's cert + slack sum bounds the true radius
-    // both when the component is decoded alone and when it would be
-    // decoded inside the full shot.
+    // Reach certificate: every settle obeys nd <= radius, which the
+    // certificate bounds by the looser bdist_i + bmax_shot. It stores
+    // ceil(bmax_shot / minEdgeW_) + 1 (the +1 covers the meeting edge
+    // a candidate probe crosses past a settled frontier); the bdist_i
+    // term — bounded by the enclosing shot's bmax — is supplied
+    // separately by componentSlackHops, so the composition guard's
+    // cert + slack sum bounds the true radius both when the component
+    // is decoded alone and when it would be decoded inside the full
+    // shot.
     ws.lastReachHops =
         (minEdgeW_ > 0.0 && minEdgeW_ < kMaxWeight)
             ? (int)std::ceil(bmax_shot / minEdgeW_) + 1
@@ -190,9 +195,10 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
     // touched node settles at most once per shot (instead of once per
     // nearby defect), and only adjacent-region pairs become
     // candidates, which keeps the matching components small. Growth
-    // past a region's boundary distance plus the shot's largest
-    // boundary distance is pruned: any pair found there is
-    // boundary-dominated.
+    // past the shot's largest boundary distance is pruned: any pair
+    // found there is boundary-dominated. Each defect pair keeps only
+    // its lightest (w, obs) meeting edge, found through the per-defect
+    // chain of its smaller index.
     ws.mwHeap.clear();
     for (int i = 0; i < n; ++i) {
         const int src = defects[i];
@@ -205,7 +211,6 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
     }
     std::make_heap(ws.mwHeap.begin(), ws.mwHeap.end(), std::greater<>{});
 
-    int settled_count = 0;
     while (!ws.mwHeap.empty()) {
         const auto [d, u] = ws.mwHeap.front();
         std::pop_heap(ws.mwHeap.begin(), ws.mwHeap.end(),
@@ -214,7 +219,6 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
         if (ws.mwSettled[u] || d > ws.mwDist[u])
             continue;
         ws.mwSettled[u] = 1;
-        ++settled_count;
         ++ws.statSettledNodes;
         const int oi = ws.mwOwner[u];
         const double bdist_i = ws.mwBDist[oi];
@@ -229,7 +233,7 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
                     continue;
                 // Region crossing: candidate at the exact shortest
                 // distance between the two owners (for this meeting
-                // edge; the dedup pass keeps the global minimum).
+                // edge; the pair's entry keeps the lightest).
                 // Dropped when matching both owners to the boundary
                 // is strictly cheaper.
                 const double w = d + nbr.w + ws.mwDist[nbr.to];
@@ -237,14 +241,26 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
                     continue;
                 const uint8_t obs = ws.mwObs[u] ^ nbr.obs ^
                                     ws.mwObs[nbr.to];
-                if (oi < oj)
-                    ws.mwCands.push_back({oi, oj, w, obs});
-                else
-                    ws.mwCands.push_back({oj, oi, w, obs});
+                const int lo = std::min(oi, oj);
+                const int hi = std::max(oi, oj);
+                int c = ws.mwCandHead[lo];
+                while (c >= 0 && ws.mwCands[c].j != hi)
+                    c = ws.mwCands[c].next;
+                if (c < 0) {
+                    ws.mwCands.push_back(
+                        {lo, hi, w, obs, ws.mwCandHead[lo]});
+                    ws.mwCandHead[lo] = (int)ws.mwCands.size() - 1;
+                } else {
+                    DecodeWorkspace::Cand &cand = ws.mwCands[c];
+                    if (w < cand.w || (w == cand.w && obs < cand.obs)) {
+                        cand.w = w;
+                        cand.obs = obs;
+                    }
+                }
                 continue;
             }
             const double nd = d + nbr.w;
-            if (nd > bdist_i + bmax_shot)
+            if (nd > radius)
                 continue;   // boundary-dominated beyond this radius
             if (ws.mwStamp[nbr.to] != call) {
                 ws.mwStamp[nbr.to] = call;
@@ -265,37 +281,23 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
                                std::greater<>{});
             }
         }
-        if (settled_count >= options_.settleCap)
-            break;
     }
 
-    // Deduplicate candidates: sort by (i, j, w, obs) and keep the
-    // minimum-weight path per pair. The surviving sorted list doubles
-    // as the pair -> observable-parity lookup after matching.
-    std::sort(ws.mwCands.begin(), ws.mwCands.end(),
-              [](const DecodeWorkspace::Cand &x,
-                 const DecodeWorkspace::Cand &y) {
-                  if (x.i != y.i)
-                      return x.i < y.i;
-                  if (x.j != y.j)
-                      return x.j < y.j;
-                  if (x.w != y.w)
-                      return x.w < y.w;
-                  return x.obs < y.obs;
-              });
-    size_t unique_count = 0;
-    for (size_t k = 0; k < ws.mwCands.size(); ++k) {
-        if (k > 0 && ws.mwCands[k].i == ws.mwCands[k - 1].i &&
-            ws.mwCands[k].j == ws.mwCands[k - 1].j)
-            continue;
-        ws.mwCands[unique_count++] = ws.mwCands[k];
-    }
-    ws.mwCands.resize(unique_count);
+    // Order the distinct pairs by (i, j). The sorted list doubles as
+    // the pair -> observable-parity lookup after matching.
+    auto byPair = [](const DecodeWorkspace::Cand &x,
+                     const DecodeWorkspace::Cand &y) {
+        if (x.i != y.i)
+            return x.i < y.i;
+        return x.j < y.j;
+    };
+    std::sort(ws.mwCands.begin(), ws.mwCands.end(), byPair);
 
     // Enforce the per-defect candidate budget: when a defect exceeds
-    // neighborLimit adjacencies (rare — region adjacency yields only a
-    // handful), keep its lightest ones. Dropping edges never breaks
-    // feasibility (every defect retains its boundary edge).
+    // neighborLimit adjacencies, keep its lightest ones. This is not
+    // rare: dense defect clusters overflow it in about 40% of d = 11,
+    // p = 1e-3 decodes. Dropping edges never breaks feasibility
+    // (every defect retains its boundary edge).
     ws.mwLocalIndex.assign(n, 0);   // reused as degree counts here
     bool over_budget = false;
     for (const auto &cand : ws.mwCands) {
@@ -326,13 +328,7 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
         }
         ws.mwCands.resize(kept);
         // Restore (i, j) order for the post-matching parity lookup.
-        std::sort(ws.mwCands.begin(), ws.mwCands.end(),
-                  [](const DecodeWorkspace::Cand &x,
-                     const DecodeWorkspace::Cand &y) {
-                      if (x.i != y.i)
-                          return x.i < y.i;
-                      return x.j < y.j;
-                  });
+        std::sort(ws.mwCands.begin(), ws.mwCands.end(), byPair);
     }
 
     // Split the doubled matching instance into connected components

@@ -12,18 +12,30 @@
  *     inside the two regions; pairs separated by a third defect's
  *     region are represented through that defect's candidates instead
  *     (the local-matching approximation). Every touched node settles
- *     at most once per shot. The defect-to-boundary route is NOT
- *     searched per shot: the exact shortest boundary distance (and
- *     its observable parity) is precomputed for every detector id at
- *     construction with one multi-source Dijkstra from the boundary,
- *     and region growth is pruned beyond the radius where every pair
- *     is boundary-dominated.
+ *     at most once per shot. Candidates are deduplicated as they are
+ *     emitted: each defect pair (i, j) keeps only its lexicographically
+ *     smallest (w, obs), found through a chain per smaller index, so
+ *     only the distinct pairs are sorted. The defect-to-boundary route
+ *     is NOT searched per shot: the exact shortest boundary distance
+ *     (and its observable parity) is precomputed for every detector id
+ *     at construction with one multi-source Dijkstra from the
+ *     boundary.
  *  2. Reduce to minimum-weight perfect matching with one virtual
  *     boundary twin per defect (the standard doubling construction).
- *     Candidates that cannot beat pairing both endpoints with the
- *     boundary are pruned, and each Dijkstra stops at its boundary
- *     distance plus the shot's largest boundary distance — beyond
- *     that every pair is boundary-dominated.
+ *     A candidate (i, j, w) with w > bdist_i + bdist_j is dropped:
+ *     pairing both endpoints with the boundary is cheaper. Growth
+ *     stops at relaxations with nd > B (1 + 1e-9), where B is the
+ *     shot's largest boundary distance. This is exact. No relaxation
+ *     with nd <= B is pruned, so every detector at distance <= B
+ *     settles in the same (dist, id) order with the same owner and
+ *     parity as under any larger radius, and emits the same
+ *     candidates. A candidate found while settling a node at distance
+ *     d, across an edge to an already settled node, weighs at least
+ *     2d: the settled side's distance plus the edge is at least d,
+ *     whether it relaxed the node or was pruned past the radius. Past
+ *     the radius, 2d > 2B >= bdist_i + bdist_j, so the filter above
+ *     rejects it; the 1e-9 relative margin keeps that inequality
+ *     strict under double rounding.
  *  3. Exact blossom matching per connected component of the candidate
  *     graph (cross-component pairings are boundary-dominated, so the
  *     O(n^3) solver runs on many small instances — the sparse-blossom
@@ -54,8 +66,6 @@ struct DecoderOptions
 {
     /** Defect-neighbour candidates kept per defect. */
     int neighborLimit = 12;
-    /** Hard cap on settled nodes per Dijkstra (safety valve). */
-    int settleCap = 1 << 20;
 };
 
 /**
@@ -73,13 +83,14 @@ class MwpmDecoder : public Decoder
                       DecodeWorkspace &workspace) const override;
 
     /**
-     * Shot-level slack for component composition: the Dijkstra
-     * pruning radius is each defect's boundary distance plus the
-     * shot's largest boundary distance, so a component decoded alone
-     * certifies only its own radius (lastReachHops) and composing it
-     * inside a larger shot can extend the reach by at most the shot's
-     * largest boundary distance, converted to hops via the minimum
-     * detector-detector edge weight.
+     * Shot-level slack for component composition: every settle lies
+     * within the shot's largest boundary distance (plus a 1e-9
+     * relative margin), which is at most any defect's boundary
+     * distance plus that maximum. A component decoded alone certifies
+     * only its own maximum (lastReachHops), and composing it inside a
+     * larger shot can extend the reach by at most the shot's largest
+     * boundary distance, converted to hops via the minimum
+     * detector-detector edge weight. The bound is conservative.
      */
     int componentSlackHops(const int *defects,
                            size_t count) const override;

@@ -486,8 +486,9 @@ TEST(DecodePipeline, ExperimentDerivesTruncatedKeyFromRounds)
 
 TEST(DecodePipeline, MwpmWorkspaceFootprintStabilizes)
 {
-    // The MWPM path still allocates inside the blossom solver, but the
-    // workspace itself must stop growing once decode reaches steady
+    // Steady-state MWPM decode allocates nothing (see
+    // MwpmDecodeIsAllocationFreeInSteadyState); the workspace's own
+    // footprint must likewise stop growing once decode reaches steady
     // state.
     RotatedSurfaceCode code(5);
     const int rounds = 10;

@@ -2,17 +2,24 @@
  * @file
  * End-to-end decoder tests: every single fault must be corrected (the
  * circuit-level distance is >= 3), sampled double faults must be
- * corrected at d = 5, and the decoder must degrade gracefully.
+ * corrected at d = 5, the decoder must degrade gracefully, and sampled
+ * shots must keep their pinned verdicts and matched corrections.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "base/rng.h"
 #include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "code/rotated_surface_code.h"
+#include "decoder/decode_workspace.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
+#include "decoder/sparse_syndrome.h"
+#include "sim/batch_frame_simulator.h"
 #include "sim/frame_simulator.h"
 #include "surface_dem.h"
 
@@ -201,6 +208,92 @@ TEST(Decoder, NeighborLimitStillCorrectsSingles)
         ShotOutcome outcome = runWithFaults(code, circuit, {faults[i]});
         ASSERT_EQ(decoder.decode(outcome.defects),
                   outcome.observableFlip);
+    }
+}
+
+/** FNV-1a accumulation of one 64-bit value. */
+void
+fnvMix(uint64_t &h, uint64_t v)
+{
+    for (int byte = 0; byte < 8; ++byte) {
+        h ^= (v >> (8 * byte)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+struct GoldenMwpm
+{
+    int d;                      ///< Distance; rounds = 3d, Z basis.
+    double p;                   ///< Physical error rate (sim + weights).
+    int shots;                  ///< Leading shots of the sampled stream.
+    uint64_t verdictDigest;     ///< Verdict bits, shot order.
+    uint64_t correctionDigest;  ///< Every recordCorrections list.
+};
+
+constexpr uint64_t kGoldenSeed = 2309;
+
+/**
+ * Digests of MWPM decodes of sampled surface-memory shots (compiled
+ * program, SWAP-LRC tail, word-group width 64). The correction digest
+ * covers each shot's verdict, correction count and every (a, b, obs)
+ * element in emission order, so it moves whenever the matching does —
+ * even when the verdict survives by parity. Recorded from the decoder
+ * whose candidate stage sorted and deduplicated every raw meeting-edge
+ * candidate and pruned growth at each defect's boundary distance plus
+ * the shot's largest; never re-baseline — a changed row means a
+ * changed matching.
+ */
+const GoldenMwpm kGoldenMwpm[] = {
+    {5, 1e-3, 512, 0xd10743ad7cbc8aa4ULL, 0x9db9df1e98f70a30ULL},
+    {5, 3e-3, 512, 0x70c92c67359b3be5ULL, 0x41a0a52f6dd5cac3ULL},
+    {7, 1e-3, 256, 0x5309dcf109b6ae05ULL, 0x58c184f6ec0a7bd1ULL},
+    {7, 3e-3, 128, 0xb794b705828934c5ULL, 0x480af19e6428bc81ULL},
+    {11, 1e-3, 128, 0x5922ff2ed5e6ef25ULL, 0x546bea5a1006a932ULL},
+    {11, 3e-3, 24, 0x453e0bf43ad8c8a4ULL, 0x628fd9d376f52b91ULL},
+};
+
+TEST(MwpmGolden, SampledShotsMatchPinnedDigests)
+{
+    for (const GoldenMwpm &g : kGoldenMwpm) {
+        const RotatedSurfaceCode code(g.d);
+        const int rounds = 3 * g.d;
+        const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+            code, rounds, Basis::Z, IrTailKind::SwapLrc);
+        const MwpmDecoder decoder(buildDetectorModel(prog), g.p);
+
+        SparseSyndromeExtractor extractor;
+        BatchSyndrome syndrome;
+        DecodeWorkspace ws;
+        ws.recordCorrections = true;
+        uint64_t verdicts = 0xcbf29ce484222325ULL;
+        uint64_t corrections = 0xcbf29ce484222325ULL;
+        for (int first = 0; first < g.shots; first += 64) {
+            BatchFrameSimulatorT<1> sim(prog.numQubits,
+                                        ErrorModel::standard(g.p), 64,
+                                        kGoldenSeed, (uint64_t)first);
+            sim.executeProgram(prog);
+            extractor.extract(prog.detectors, rounds, sim.record(), 64,
+                              syndrome);
+            for (int lane = 0; lane < 64 && first + lane < g.shots;
+                 ++lane) {
+                ws.corrections.clear();
+                const bool flip = decoder.decodeSparse(
+                    syndrome.laneBegin(lane), syndrome.laneSize(lane),
+                    ws);
+                fnvMix(verdicts, flip);
+                fnvMix(corrections, flip);
+                fnvMix(corrections, ws.corrections.size());
+                for (const auto &c : ws.corrections) {
+                    fnvMix(corrections, (uint64_t)(uint32_t)c.a);
+                    fnvMix(corrections, (uint64_t)(uint32_t)c.b);
+                    fnvMix(corrections, c.obs);
+                }
+            }
+        }
+        EXPECT_EQ(verdicts, g.verdictDigest)
+            << "d=" << g.d << " p=" << g.p;
+        EXPECT_EQ(corrections, g.correctionDigest)
+            << "d=" << g.d << " p=" << g.p;
     }
 }
 

@@ -518,41 +518,19 @@ passStreamSync(PassContext &ctx)
         }
     }
 
-    // Which streams bindProgramStreams pre-registers (pool + tail
-    // templates; registration is content-neutral — streams are keyed
-    // by probability and lazily initialized per block — so this feeds
+    // Which streams the engine binds: at construction it registers a
+    // RareStream for every rare-sampled channel of the error model
+    // (registration is content-neutral — streams are keyed by
+    // probability and lazily initialized per block — so this feeds
     // the evidence table, not a diagnostic).
-    bool two_qubit = false, measure = false, iswap = false;
-    const auto scan_op = [&](const Op &op) {
-        if (op.type == OpType::Cnot)
-            two_qubit = true;
-        if (op.type == OpType::LeakageIswap)
-            two_qubit = iswap = true;
-        if (op.type == OpType::Measure || op.type == OpType::MeasureX)
-            measure = true;
-    };
-    for (const Op &op : prog.pool)
-        scan_op(op);
-    for (const IrTailTemplate &tmpl : prog.tailTemplates)
-        for (const Op &op : tmpl.ops)
-            scan_op(op);
-    const auto mark_bound = [&](double p) {
+    for (double p : {em.p, em.leakInjectProb(), em.seepageProb(),
+                     em.multiLevelMissProb(), em.pTransport,
+                     em.dqlrExciteProb}) {
         if (p <= 0.0 || p >= BernoulliMaskSampler::kRareThreshold)
-            return; // Dense/degenerate draws use no RareStream.
+            continue; // Dense/degenerate draws use no RareStream.
         auto it = table.rows.find(p);
         if (it != table.rows.end())
             it->second.boundByEngine = true;
-    };
-    mark_bound(em.p);
-    if (em.leakageEnabled) {
-        mark_bound(em.leakInjectProb());
-        mark_bound(em.seepageProb());
-        if (measure)
-            mark_bound(em.multiLevelMissProb());
-        if (two_qubit)
-            mark_bound(em.pTransport);
-        if (iswap)
-            mark_bound(em.dqlrExciteProb);
     }
 
     for (const auto &kv : table.rows)

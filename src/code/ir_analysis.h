@@ -78,8 +78,8 @@ struct IrStreamUsage
     int finalSites = 0;
     /** True when an LrcSlot tail template also draws from it. */
     bool usedByTail = false;
-    /** True when BatchFrameSimulatorT::bindProgramStreams pre-registers
-     *  it for this program under the given error model. */
+    /** True when BatchFrameSimulatorT binds a RareStream for it at
+     *  construction under the given error model. */
     bool boundByEngine = false;
 };
 

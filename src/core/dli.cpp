@@ -59,8 +59,8 @@ DynamicLrcInsertion::allocateLookup(LeakageTrackingTable &ltt,
 
 template <typename Lane>
 void
-DynamicLrcInsertion::allocateLane(int lane,
-                                  const std::vector<int> &candidates,
+DynamicLrcInsertion::allocateLane(int lane, const int *cand_begin,
+                                  const int *cand_end,
                                   BatchLeakageTrackingTable<Lane> &ltt,
                                   const BatchParityUsageTable<Lane> &putt,
                                   DliLaneScratch &scratch,
@@ -71,7 +71,8 @@ DynamicLrcInsertion::allocateLane(int lane,
         if ((int)scratch.takenEpoch.size() < code_.numStabilizers())
             scratch.takenEpoch.assign(code_.numStabilizers(), 0);
         const int epoch = ++scratch.epoch;
-        for (int q : candidates) {
+        for (const int *it = cand_begin; it != cand_end; ++it) {
+            const int q = *it;
             if (!ltt.marked(q, lane))
                 continue;
             const SwapEntry &entry = lookup_.entry(q);
@@ -101,9 +102,9 @@ DynamicLrcInsertion::allocateLane(int lane,
     // allocateMatching, it builds its instance vectors per call (the
     // paper-default lookup branch above is the allocation-free one).
     std::vector<int> marked;
-    for (int q : candidates) {
-        if (ltt.marked(q, lane))
-            marked.push_back(q);
+    for (const int *it = cand_begin; it != cand_end; ++it) {
+        if (ltt.marked(*it, lane))
+            marked.push_back(*it);
     }
     std::vector<std::vector<int>> adjacency(marked.size());
     for (size_t i = 0; i < marked.size(); ++i) {
@@ -123,17 +124,17 @@ DynamicLrcInsertion::allocateLane(int lane,
 }
 
 template void DynamicLrcInsertion::allocateLane<uint64_t>(
-    int, const std::vector<int> &,
+    int, const int *, const int *,
     BatchLeakageTrackingTable<uint64_t> &,
     const BatchParityUsageTable<uint64_t> &, DliLaneScratch &,
     std::vector<LrcPair> &) const;
 template void DynamicLrcInsertion::allocateLane<WordVec<4>>(
-    int, const std::vector<int> &,
+    int, const int *, const int *,
     BatchLeakageTrackingTable<WordVec<4>> &,
     const BatchParityUsageTable<WordVec<4>> &, DliLaneScratch &,
     std::vector<LrcPair> &) const;
 template void DynamicLrcInsertion::allocateLane<WordVec<8>>(
-    int, const std::vector<int> &,
+    int, const int *, const int *,
     BatchLeakageTrackingTable<WordVec<8>> &,
     const BatchParityUsageTable<WordVec<8>> &, DliLaneScratch &,
     std::vector<LrcPair> &) const;

@@ -79,15 +79,18 @@ class DynamicLrcInsertion
      * `stab` fields) into BatchParityUsageTable::markPending.
      *
      * @param lane       Lane to allocate for.
-     * @param candidates Ascending data-qubit ids whose LTT plane has
-     *                   any lane set (a superset of lane l's marks).
+     * @param cand_begin Ascending data-qubit ids, a superset of lane
+     *                   l's marks (the batch controller hands each
+     *                   lane exactly its own marks).
+     * @param cand_end   End of the candidate range.
      * @param ltt        Word-parallel suspect table (updated in place).
      * @param putt       Word-parallel cooldown table, current round.
      * @param scratch    Reusable epoch-versioned taken set.
      * @param[out] lrcs  Cleared, then filled with lane l's pairs.
      */
     template <typename Lane>
-    void allocateLane(int lane, const std::vector<int> &candidates,
+    void allocateLane(int lane, const int *cand_begin,
+                      const int *cand_end,
                       BatchLeakageTrackingTable<Lane> &ltt,
                       const BatchParityUsageTable<Lane> &putt,
                       DliLaneScratch &scratch,

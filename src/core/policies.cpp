@@ -173,11 +173,31 @@ BatchEraserController<Lane>::nextRound(
     for (auto &lane_lrcs : lrcs)
         lane_lrcs.clear();
 
+    // Scatter the candidates into lane-major lists (a counting sort
+    // over one flat arena): lane l's list holds exactly its marked
+    // qubits, ascending. Built before stage 3 from the marks as they
+    // stand — exact, since a lane's allocation clears only that
+    // lane's LTT bits — so each lane walks its own marks instead of
+    // the union over all lanes.
+    laneStart_.assign(lrcs.size() + 1, 0);
+    for (int q : candidates_)
+        forEachSetLane(ltt_.word(q) & active,
+                       [&](int l) { ++laneStart_[l + 1]; });
+    for (size_t l = 0; l < lrcs.size(); ++l)
+        laneStart_[l + 1] += laneStart_[l];
+    laneEntries_.resize(laneStart_.back());
+    laneCursor_.assign(laneStart_.begin(), laneStart_.end() - 1);
+    for (int q : candidates_)
+        forEachSetLane(ltt_.word(q) & active,
+                       [&](int l) { laneEntries_[laneCursor_[l]++] = q; });
+
     // Stage 3 — per-lane DLI, but only on active lanes (at the error
     // rates of interest most rounds have none).
     forEachSetLane(active, [&](int l) {
-        dli_.allocateLane(l, candidates_, ltt_, putt_, laneScratch_,
-                          lrcs[l]);
+        const int *list = laneEntries_.data();
+        dli_.allocateLane(l, list + laneStart_[l],
+                          list + laneStart_[l + 1], ltt_, putt_,
+                          laneScratch_, lrcs[l]);
         if (puttCooldown_) {
             for (const auto &pair : lrcs[l])
                 putt_.markPending(pair.stab, l);

@@ -254,9 +254,9 @@ class OptimalLrcPolicy : public LrcPolicy
  * LSB thresholds all lanes at once (bit-sliced neighbor counts,
  * had-LRC suppression planes, ERASER+M |L> label planes), and only
  * lanes whose speculation-active mask is nonzero fall back to the
- * inherently sequential per-lane DLI walk. Round cost is
- * O(lattice x plane words + active lanes) instead of
- * O(lattice x lanes).
+ * inherently sequential per-lane DLI walk, which visits only that
+ * lane's own marked qubits. Round cost is O(lattice x plane words +
+ * marks of active lanes) instead of O(lattice x lanes).
  *
  * Lane l's schedule stream is bit-identical to a dedicated
  * EraserPolicy fed lane l's observations — the invariant the
@@ -303,6 +303,12 @@ class BatchEraserController
     DliLaneScratch laneScratch_;
     /** Data qubits whose LTT plane has any lane set, ascending. */
     std::vector<int> candidates_;
+    /** Lane-major candidate arena, reused across rounds: active lane
+     *  l's marked qubits, ascending, are laneEntries_[laneStart_[l],
+     *  laneStart_[l + 1]). */
+    std::vector<int> laneStart_;
+    std::vector<int> laneCursor_;
+    std::vector<int> laneEntries_;
 };
 
 extern template class BatchEraserController<uint64_t>;

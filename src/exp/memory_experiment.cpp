@@ -422,12 +422,6 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     // stabilizer count again).
     sim.reserveRecord(
         (size_t)config_.rounds * (1 + (size_t)NB) * n_stabs + n_data);
-    // Pin every noise channel's RareStream id up front. Streams are
-    // keyed by probability and initialized lazily per 64-lane block,
-    // so pre-registration cannot change draw content relative to the
-    // hand-wired drivers, which registered on first use.
-    sim.bindProgramStreams(prog);
-
     // Policy evaluation dispatch: a probe instance reports whether the
     // policy has a lane-parallel form. ERASER runs the word-parallel
     // controller (one LTT/PUTT bit-plane set for the group), Uniform

@@ -55,6 +55,24 @@ BatchFrameSimulatorT<NW>::BatchFrameSimulatorT(int num_qubits,
     x_.assign(num_qubits, Lane{});
     z_.assign(num_qubits, Lane{});
     leaked_.assign(num_qubits, Lane{});
+    chP_ = bindChannel(em.p);
+    chLeak_ = bindChannel(em.leakInjectProb());
+    chSeep_ = bindChannel(em.seepageProb());
+    chMiss_ = bindChannel(em.multiLevelMissProb());
+    chTransport_ = bindChannel(em.pTransport);
+    chExcite_ = bindChannel(em.dqlrExciteProb);
+}
+
+template <int NW>
+typename BatchFrameSimulatorT<NW>::Channel
+BatchFrameSimulatorT<NW>::bindChannel(double p)
+{
+    Channel ch;
+    ch.p = p;
+    ch.stream = noiseStreamId(p);
+    if (p > 0.0 && p < 1.0)
+        ch.digits = bernoulliDigits(p);
+    return ch;
 }
 
 template <int NW>
@@ -218,35 +236,45 @@ BatchFrameSimulatorT<NW>::drawRareBlock(RareStream &stream, int b)
 
 template <int NW>
 uint64_t
-BatchFrameSimulatorT<NW>::drawDenseBlock(double p, int b)
+BatchFrameSimulatorT<NW>::drawPlainBlock(const Channel &ch, int b)
 {
-    return bernoulliDenseMask(blockRng_[b], p, blockLanes_[b]);
+    if (ch.p <= 0.0)
+        return 0;
+    if (ch.p >= 1.0)
+        return laneMask64(blockLanes_[b]);
+    return bernoulliDenseMask(blockRng_[b], ch.digits, blockLanes_[b]);
 }
 
 template <int NW>
 typename BatchFrameSimulatorT<NW>::Lane
-BatchFrameSimulatorT<NW>::drawWhere(double p, const Lane &gate)
+BatchFrameSimulatorT<NW>::drawWhere(const Channel &ch, const Lane &gate)
 {
     Lane out{};
-    if (p <= 0.0)
-        return out;
-    if (p >= 1.0) {
-        for (int b = 0; b < numBlocks_; ++b) {
-            if (laneWord(gate, b))
-                laneWordRef(out, b) = laneMask64(blockLanes_[b]);
+    if (ch.stream >= 0) {
+        RareStream &stream = rareStreams_[ch.stream];
+        // The overwhelmingly common case: every gated block's pending
+        // skip covers its word. Test all NW counters in one
+        // branch-free pass, then subtract. Blocks past numBlocks_ are
+        // never gated, and a stream not yet initialized on a block
+        // holds skip 0, which fails the test and takes the per-block
+        // path below.
+        uint64_t gated[NW];
+        bool covered = true;
+        for (int b = 0; b < NW; ++b) {
+            gated[b] = laneWord(gate, b) ? ~uint64_t{0} : 0;
+            covered &= !gated[b] |
+                       (stream.skip[b] >= (uint64_t)blockLanes_[b]);
         }
-        return out;
-    }
-    if (p < BernoulliMaskSampler::kRareThreshold) {
-        // One probability lookup for the whole group; per gated block
-        // the overwhelmingly common case is a compare + subtract on
-        // its contiguous skip counter.
-        RareStream &stream = rareStreamFor(p);
+        if (covered) {
+            for (int b = 0; b < NW; ++b)
+                stream.skip[b] -= (uint64_t)blockLanes_[b] & gated[b];
+            return out;
+        }
         for (int b = 0; b < numBlocks_; ++b) {
-            if (!laneWord(gate, b))
+            if (!gated[b])
                 continue;
             const uint64_t n = (uint64_t)blockLanes_[b];
-            if (stream.inited[b] && stream.skip[b] >= n) {
+            if (stream.skip[b] >= n) {
                 stream.skip[b] -= n;
                 continue;
             }
@@ -256,7 +284,7 @@ BatchFrameSimulatorT<NW>::drawWhere(double p, const Lane &gate)
     }
     for (int b = 0; b < numBlocks_; ++b) {
         if (laneWord(gate, b))
-            laneWordRef(out, b) = drawDenseBlock(p, b);
+            laneWordRef(out, b) = drawPlainBlock(ch, b);
     }
     return out;
 }
@@ -316,7 +344,7 @@ BatchFrameSimulatorT<NW>::maybeLeak(int q, const Lane &mask)
     // The draw itself must always happen (it IS the noise stream);
     // the post-draw plane update is skipped on the empty-mask common
     // case.
-    const Lane d = drawWhere(em_.leakInjectProb(), mask);
+    const Lane d = drawWhere(chLeak_, mask);
     if (!anyLane(d))
         return;
     leaked_[q] |= d & mask;
@@ -329,7 +357,7 @@ BatchFrameSimulatorT<NW>::maybeSeep(int q, const Lane &mask)
     const Lane leaked = leaked_[q] & mask;
     if (!anyLane(leaked))
         return;
-    const Lane m = drawWhere(em_.seepageProb(), leaked) & leaked;
+    const Lane m = drawWhere(chSeep_, leaked) & leaked;
     if (anyLane(m)) {
         // Seeped lanes return in a random computational state.
         randomComputational(q, m);
@@ -340,7 +368,7 @@ template <int NW>
 void
 BatchFrameSimulatorT<NW>::opDataNoise(int q, const Lane &mask)
 {
-    const Lane d = drawWhere(em_.p, mask);
+    const Lane d = drawWhere(chP_, mask);
     if (anyLane(d))
         depolarizePerLane(q, andnot(d & mask, leaked_[q]));
     maybeLeak(q, mask);
@@ -355,7 +383,7 @@ BatchFrameSimulatorT<NW>::opReset(int q, const Lane &mask)
     z_[q] = andnot(z_[q], mask);
     leaked_[q] = andnot(leaked_[q], mask);
     // Initialization error: the qubit comes up in |1> with prob p.
-    const Lane d = drawWhere(em_.p, mask);
+    const Lane d = drawWhere(chP_, mask);
     if (anyLane(d))
         x_[q] |= d & mask;
 }
@@ -369,7 +397,7 @@ BatchFrameSimulatorT<NW>::opH(int q, const Lane &mask)
     const Lane zw = z_[q];
     x_[q] = andnot(xw, act) | (zw & act);
     z_[q] = andnot(zw, act) | (xw & act);
-    const Lane d = drawWhere(em_.p, mask);
+    const Lane d = drawWhere(chP_, mask);
     if (anyLane(d))
         depolarizePerLane(q, d & act);
 }
@@ -378,7 +406,7 @@ template <int NW>
 void
 BatchFrameSimulatorT<NW>::twoQubitNoise(int a, int b, const Lane &mask)
 {
-    const Lane d = drawWhere(em_.p, mask);
+    const Lane d = drawWhere(chP_, mask);
     const Lane m = anyLane(d) ? d & mask : Lane{};
     forEachSetLane(m, [&](int l) {
         // One of the 15 non-identity two-qubit Paulis, uniformly.
@@ -441,7 +469,7 @@ BatchFrameSimulatorT<NW>::opCnot(int c, int t, const Lane &mask)
     }
     const Lane mixed = c_only | t_only;
     if (anyLane(mixed) && em_.pTransport > 0.0) {
-        const Lane tr = drawWhere(em_.pTransport, mixed) & mixed;
+        const Lane tr = drawWhere(chTransport_, mixed) & mixed;
         leaked_[t] |= tr & c_only;
         leaked_[c] |= tr & t_only;
         if (em_.transport == TransportModel::Exchange) {
@@ -478,7 +506,7 @@ BatchFrameSimulatorT<NW>::opLeakageIswap(int d, int p, const Lane &mask)
     if (anyLane(excitable) && em_.leakageEnabled &&
         em_.dqlrExciteProb > 0.0) {
         leaked_[d] |=
-            drawWhere(em_.dqlrExciteProb, excitable) & excitable;
+            drawWhere(chExcite_, excitable) & excitable;
     }
     // The op has CNOT-class fidelity (Section A.2.2).
     twoQubitNoise(d, p, mask);
@@ -501,9 +529,9 @@ BatchFrameSimulatorT<NW>::opMeasure(const Op &op, bool x_basis,
     if (anyLane(lk)) {
         flips |= randBitsWhere(lk) & lk;
         labels =
-            andnot(lk, drawWhere(em_.multiLevelMissProb(), lk));
+            andnot(lk, drawWhere(chMiss_, lk));
     }
-    const Lane me = drawWhere(em_.p, mask);
+    const Lane me = drawWhere(chP_, mask);
     if (anyLane(me))
         flips ^= me & mask;
 
@@ -521,23 +549,23 @@ BatchFrameSimulatorT<NW>::opMeasure(const Op &op, bool x_basis,
 
 template <int NW>
 uint64_t
-BatchFrameSimulatorT<NW>::drawBlockWhere(double p, int b,
+BatchFrameSimulatorT<NW>::drawBlockWhere(const Channel &ch, int b,
                                          uint64_t gate)
 {
-    if (!gate || p <= 0.0)
+    if (!gate)
         return 0;
-    if (p >= 1.0)
-        return laneMask64(blockLanes_[b]);
-    if (p < BernoulliMaskSampler::kRareThreshold) {
-        RareStream &stream = rareStreamFor(p);
+    if (ch.stream >= 0) {
+        // A stream not yet initialized on block b holds skip 0, so
+        // this test also routes its first draw to drawRareBlock.
+        RareStream &stream = rareStreams_[ch.stream];
         const uint64_t n = (uint64_t)blockLanes_[b];
-        if (stream.inited[b] && stream.skip[b] >= n) {
+        if (stream.skip[b] >= n) {
             stream.skip[b] -= n;
             return 0;
         }
         return drawRareBlock(stream, b);
     }
-    return drawDenseBlock(p, b);
+    return drawPlainBlock(ch, b);
 }
 
 template <int NW>
@@ -569,7 +597,7 @@ BatchFrameSimulatorT<NW>::maybeLeakB(int q, int b, uint64_t mask)
 {
     if (!em_.leakageEnabled)
         return;
-    const uint64_t d = drawBlockWhere(em_.leakInjectProb(), b, mask);
+    const uint64_t d = drawBlockWhere(chLeak_, b, mask);
     if (!d)
         return;
     laneWordRef(leaked_[q], b) |= d & mask;
@@ -583,7 +611,7 @@ BatchFrameSimulatorT<NW>::maybeSeepB(int q, int b, uint64_t mask)
     if (!leaked)
         return;
     const uint64_t m =
-        drawBlockWhere(em_.seepageProb(), b, leaked) & leaked;
+        drawBlockWhere(chSeep_, b, leaked) & leaked;
     if (m)
         randomComputationalB(q, b, m);
 }
@@ -593,7 +621,7 @@ void
 BatchFrameSimulatorT<NW>::twoQubitNoiseB(int qa, int qb, int b,
                                          uint64_t mask)
 {
-    const uint64_t d = drawBlockWhere(em_.p, b, mask);
+    const uint64_t d = drawBlockWhere(chP_, b, mask);
     uint64_t m = d & mask;
     const int base = 64 * b;
     while (m) {
@@ -632,7 +660,7 @@ BatchFrameSimulatorT<NW>::opResetB(int q, int b, uint64_t mask)
     laneWordRef(z_[q], b) &= ~mask;
     laneWordRef(leaked_[q], b) &= ~mask;
     // Initialization error: the qubit comes up in |1> with prob p.
-    const uint64_t d = drawBlockWhere(em_.p, b, mask);
+    const uint64_t d = drawBlockWhere(chP_, b, mask);
     if (d)
         laneWordRef(x_[q], b) |= d & mask;
 }
@@ -669,7 +697,7 @@ BatchFrameSimulatorT<NW>::opCnotB(int c, int t, int b, uint64_t mask)
     const uint64_t mixed = c_only | t_only;
     if (mixed && em_.pTransport > 0.0) {
         const uint64_t tr =
-            drawBlockWhere(em_.pTransport, b, mixed) & mixed;
+            drawBlockWhere(chTransport_, b, mixed) & mixed;
         laneWordRef(leaked_[t], b) |= tr & c_only;
         laneWordRef(leaked_[c], b) |= tr & t_only;
         if (em_.transport == TransportModel::Exchange) {
@@ -707,7 +735,7 @@ BatchFrameSimulatorT<NW>::opLeakageIswapB(int d, int p, int b,
         ((mask & ~ld) & ~lp) & laneWord(x_[p], b);
     if (excitable && em_.leakageEnabled && em_.dqlrExciteProb > 0.0) {
         laneWordRef(leaked_[d], b) |=
-            drawBlockWhere(em_.dqlrExciteProb, b, excitable) &
+            drawBlockWhere(chExcite_, b, excitable) &
             excitable;
     }
     // The op has CNOT-class fidelity (Section A.2.2).
@@ -733,9 +761,9 @@ BatchFrameSimulatorT<NW>::opMeasureB(const Op &op, bool x_basis, int b,
     if (lk) {
         flips |= blockRng_[b].next() & lk;
         labels =
-            lk & ~drawBlockWhere(em_.multiLevelMissProb(), b, lk);
+            lk & ~drawBlockWhere(chMiss_, b, lk);
     }
-    const uint64_t me = drawBlockWhere(em_.p, b, mask);
+    const uint64_t me = drawBlockWhere(chP_, b, mask);
     if (me)
         flips ^= me & mask;
 
@@ -848,37 +876,132 @@ BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
                                          int round, bool multi_level)
 {
     const int parity = prog.stabAncilla[t.stab];
-    // Tail masks never span blocks, so each op runs on the engine's
-    // single-block path: word arithmetic on plane word b regardless
-    // of NW, keeping the per-tail cost width-invariant.
+    // Tail masks never span blocks. Wide groups run each op on the
+    // single-block bodies: word arithmetic on plane word b regardless
+    // of NW, keeping the per-tail cost width-invariant. The 64-lane
+    // engine (and scalar mode) runs the full-width ops instead, so the
+    // W=64 results stay the reference the wide widths are pinned to.
+    const bool wide = NW > 1 && !scalar_;
+    const uint64_t mask = wide ? t.mask & laneWord(live_, b) : t.mask;
+    if (!mask)
+        return;
+    if (wide && prog.tail == IrTailKind::SwapLrc &&
+        cleanSwapTail(t, parity, b, mask, round))
+        return;
+    const auto lanes = [b](uint64_t m) {
+        Lane l{};
+        laneWordRef(l, b) = m;
+        return l;
+    };
+    const auto cnot = [&](int c, int q, uint64_t m) {
+        if (wide)
+            opCnotB(c, q, b, m);
+        else
+            execute(makeOp(OpType::Cnot, c, q), lanes(m));
+    };
+    const auto reset = [&](int q, uint64_t m) {
+        if (wide)
+            opResetB(q, b, m);
+        else
+            execute(makeOp(OpType::Reset, q), lanes(m));
+    };
     if (prog.tail == IrTailKind::SwapLrc) {
         // SWAP D <-> P, measure + reset D, MOV back -- with the
         // ERASER+M in-round rule: lanes whose data readout is
         // labelled |L> squash the MOV and reset P instead.
-        executeBlock(makeOp(OpType::Cnot, t.data, parity), b, t.mask);
-        executeBlock(makeOp(OpType::Cnot, parity, t.data), b, t.mask);
-        executeBlock(makeOp(OpType::Cnot, t.data, parity), b, t.mask);
+        cnot(t.data, parity, mask);
+        cnot(parity, t.data, mask);
+        cnot(t.data, parity, mask);
         Op meas = makeOp(OpType::Measure, t.data);
         meas.stab = t.stab;
         meas.round = round;
         meas.lrcData = true;
-        executeBlock(meas, b, t.mask);
+        if (wide)
+            opMeasureB(meas, false, b, mask);
+        else
+            execute(meas, lanes(mask));
         uint64_t squash = 0;
         if (multi_level)
-            squash = laneWord(record_.back().leakedLabels, b) & t.mask;
-        executeBlock(makeOp(OpType::Reset, t.data), b, t.mask);
-        const uint64_t mov = t.mask & ~squash;
+            squash = laneWord(record_.back().leakedLabels, b) & mask;
+        reset(t.data, mask);
+        const uint64_t mov = mask & ~squash;
         if (mov) {
-            executeBlock(makeOp(OpType::Cnot, parity, t.data), b, mov);
-            executeBlock(makeOp(OpType::Cnot, t.data, parity), b, mov);
+            cnot(parity, t.data, mov);
+            cnot(t.data, parity, mov);
         }
         if (squash)
-            executeBlock(makeOp(OpType::Reset, parity), b, squash);
+            reset(parity, squash);
     } else {
-        executeBlock(makeOp(OpType::LeakageIswap, t.data, parity), b,
-                     t.mask);
-        executeBlock(makeOp(OpType::Reset, parity), b, t.mask);
+        if (wide)
+            opLeakageIswapB(t.data, parity, b, mask);
+        else
+            execute(makeOp(OpType::LeakageIswap, t.data, parity),
+                    lanes(mask));
+        reset(parity, mask);
     }
+}
+
+template <int NW>
+bool
+BatchFrameSimulatorT<NW>::cleanSwapTail(const IrLrcTail &t, int parity,
+                                        int b, uint64_t mask, int round)
+{
+    const int d = t.data;
+    if ((laneWord(leaked_[d], b) | laneWord(leaked_[parity], b)) & mask)
+        return false;
+    // With no leaked operand lane the tail's draws on block b are
+    // fixed: each of the five CNOTs draws p once and the leak channel
+    // twice (seepage draws only on leaked lanes), and the readout and
+    // the reset draw p once each (the |L> draws also need a leaked
+    // lane). That is 7 p draws and 10 leak draws of blockLanes_[b]
+    // trials each; where the two channels share a stream the counts
+    // add. An uninitialized stream holds skip 0, below any need.
+    if (chP_.stream < 0)
+        return false;
+    const uint64_t n = (uint64_t)blockLanes_[b];
+    uint64_t p_need = 7 * n, leak_need = 0;
+    if (em_.leakageEnabled) {
+        if (chLeak_.stream < 0)
+            return false;
+        if (chLeak_.stream == chP_.stream)
+            p_need += 10 * n;
+        else
+            leak_need = 10 * n;
+    }
+    uint64_t &p_skip = rareStreams_[chP_.stream].skip[b];
+    if (p_skip < p_need)
+        return false;
+    if (leak_need) {
+        uint64_t &leak_skip = rareStreams_[chLeak_.stream].skip[b];
+        if (leak_skip < leak_need)
+            return false;
+        leak_skip -= leak_need;
+    }
+    p_skip -= p_need;
+
+    // No draw hits, so every op is its noiseless frame action:
+    // SWAP D <-> P, read D out, reset D, MOV back. No lane is leaked,
+    // so the readout carries no |L> label and nothing is squashed.
+    const auto cnot = [&](int c, int q) {
+        laneWordRef(x_[q], b) ^= laneWord(x_[c], b) & mask;
+        laneWordRef(z_[c], b) ^= laneWord(z_[q], b) & mask;
+    };
+    cnot(d, parity);
+    cnot(parity, d);
+    cnot(d, parity);
+    Record rec;
+    rec.qubit = d;
+    rec.stab = t.stab;
+    rec.round = round;
+    rec.lrcData = true;
+    laneWordRef(rec.mask, b) = mask;
+    laneWordRef(rec.flips, b) = laneWord(x_[d], b) & mask;
+    record_.push_back(rec);
+    laneWordRef(x_[d], b) &= ~mask;
+    laneWordRef(z_[d], b) &= ~mask;
+    cnot(parity, d);
+    cnot(d, parity);
+    return true;
 }
 
 template <int NW>
@@ -942,7 +1065,6 @@ template <int NW>
 void
 BatchFrameSimulatorT<NW>::executeProgram(const CircuitProgram &prog)
 {
-    bindProgramStreams(prog);
     for (int r = 0; r < prog.rounds; ++r)
         executeProgramRound(prog, r, live_);
     executeProgramFinal(prog, live_);
@@ -957,51 +1079,6 @@ BatchFrameSimulatorT<NW>::noiseStreamId(double p)
         return -1;
     RareStream &stream = rareStreamFor(p);
     return (int)(&stream - rareStreams_.data());
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::bindProgramStreams(const CircuitProgram &prog)
-{
-    bool two_qubit = false, measure = false, iswap = false;
-    const auto scan = [&](const Op &op) {
-        switch (op.type) {
-          case OpType::Cnot:
-            two_qubit = true;
-            break;
-          case OpType::LeakageIswap:
-            two_qubit = true;
-            iswap = true;
-            break;
-          case OpType::Measure:
-          case OpType::MeasureX:
-            measure = true;
-            break;
-          default:
-            break;
-        }
-    };
-    for (const Op &op : prog.pool)
-        scan(op);
-    // Tail templates draw streams the pool may not (a DQLR program's
-    // pool has no LeakageIswap — only its tails do). Registration is
-    // content-neutral (streams are keyed by probability, lazily
-    // initialized per block), so scanning them only moves allocation
-    // up front.
-    for (const IrTailTemplate &tmpl : prog.tailTemplates)
-        for (const Op &op : tmpl.ops)
-            scan(op);
-    noiseStreamId(em_.p);
-    if (em_.leakageEnabled) {
-        noiseStreamId(em_.leakInjectProb());
-        noiseStreamId(em_.seepageProb());
-        if (measure)
-            noiseStreamId(em_.multiLevelMissProb());
-        if (two_qubit)
-            noiseStreamId(em_.pTransport);
-        if (iswap)
-            noiseStreamId(em_.dqlrExciteProb);
-    }
 }
 
 template class BatchFrameSimulatorT<1>;

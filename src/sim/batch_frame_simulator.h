@@ -140,14 +140,15 @@ class BatchFrameSimulatorT
     void execute(const Op &op) { execute(op, live_); }
 
     /**
-     * Execute one operation on lanes of a single 64-lane block — the
-     * fast path for policy-divergent LRC/DQLR tails, whose masks
-     * never span blocks. Operates on plane word `block` only (word
-     * arithmetic at any NW) while consuming exactly the draws the
-     * full-width execute would consume for a mask confined to that
-     * block, so results are bit-identical; record entries still carry
+     * Execute one operation on lanes of a single 64-lane block, as
+     * policy-divergent LRC/DQLR tails do (their masks never span
+     * blocks). Operates on plane word `block` only (word arithmetic
+     * at any NW) while consuming exactly the draws the full-width
+     * execute would consume for a mask confined to that block, so
+     * results are bit-identical; record entries still carry
      * full-width lane sets. Ops outside the tail repertoire fall back
-     * to the full-width path.
+     * to the full-width path. Program replay calls the single-block
+     * bodies directly; this entry point serves external callers.
      */
     void executeBlock(const Op &op, int block, uint64_t mask);
 
@@ -189,15 +190,17 @@ class BatchFrameSimulatorT
      * RareStream id for probability p, creating the stream if absent
      * (-1 when p is outside the rare-sampled range). Streams are
      * keyed by probability only and initialized lazily per 64-lane
-     * block, so registration order cannot change draw content — ids
-     * exist so program replay can pin every noise channel's stream up
-     * front instead of growing the stream list mid-round.
+     * block, so registration order cannot change draw content. The
+     * constructor resolves every noise channel's id this way, once.
      */
     int noiseStreamId(double p);
 
-    /** Pre-register RareStream ids for every noise channel the
-     *  program's ops can draw under this simulator's error model. */
-    void bindProgramStreams(const CircuitProgram &prog);
+    /**
+     * Kept for callers that pin a program's noise streams explicitly:
+     * the constructor already binds every channel of the error model,
+     * so no program can need a stream that is not registered.
+     */
+    void bindProgramStreams(const CircuitProgram &) {}
 
     const std::vector<Record> &
     record() const
@@ -257,6 +260,15 @@ class BatchFrameSimulatorT
     /** One divergent LRC-slot tail on one 64-lane block. */
     void executeLrcTail(const CircuitProgram &prog, const IrLrcTail &t,
                         int b, int round, bool multi_level);
+    /**
+     * A SwapLrc tail on block b whose outcome needs no draw: no mask
+     * lane has a leaked operand, and the p and leak streams' pending
+     * skips cover every draw the tail would take, so none can hit.
+     * Subtracts those skips and applies the tail as word ops; returns
+     * false, having changed nothing, when the tail is not clean.
+     */
+    bool cleanSwapTail(const IrLrcTail &t, int parity, int b,
+                       uint64_t mask, int round);
 
     void opResetB(int q, int b, uint64_t mask);
     void opCnotB(int c, int t, int b, uint64_t mask);
@@ -267,19 +279,35 @@ class BatchFrameSimulatorT
     void maybeSeepB(int q, int b, uint64_t mask);
     void depolarizePerLaneB(int q, int b, uint64_t mask);
     void randomComputationalB(int q, int b, uint64_t mask);
-    /** Bernoulli(p) mask for block b, drawn iff `gate` is nonzero —
-     *  the single-block image of drawWhere. */
-    uint64_t drawBlockWhere(double p, int b, uint64_t gate);
+    /**
+     * One noise channel's draw plan, resolved at construction: its
+     * probability, its RareStream id (-1 unless p is rare-sampled;
+     * channels with equal p share one id and so one stream) and p's
+     * binary digits for the dense path.
+     */
+    struct Channel
+    {
+        double p = 0.0;
+        int stream = -1;
+        BernoulliDigits digits;
+    };
+    Channel bindChannel(double p);
+
+    /** Bernoulli mask for block b, drawn iff `gate` is nonzero — the
+     *  single-block image of drawWhere. */
+    uint64_t drawBlockWhere(const Channel &ch, int b, uint64_t gate);
 
     /**
      * Per-probability rare-event streams shared across the group's
-     * blocks: one probability lookup per draw call, with each block's
-     * geometric skip counter stored contiguously. Block b's counter
-     * trajectory (and its Rng consumption) is exactly what a
-     * standalone per-block BernoulliMaskSampler would produce — the
-     * layout only removes the per-block stream-list scan from the hot
-     * path, which is what made wide word-groups pay the sampler cost
-     * once per block instead of once per draw.
+     * blocks, each block's geometric skip counter stored
+     * contiguously; channels hold their stream's id, so a draw makes
+     * no probability lookup. Block b's counter trajectory (and its
+     * Rng consumption) is exactly what a standalone per-block
+     * BernoulliMaskSampler would produce — the layout only removes
+     * the per-block stream-list scan from the hot path, which is what
+     * made wide word-groups pay the sampler cost once per block
+     * instead of once per draw. A block's skip stays 0 until its
+     * first draw initializes it.
      */
     struct RareStream
     {
@@ -290,21 +318,22 @@ class BatchFrameSimulatorT
     };
 
     /**
-     * Bernoulli(p) lane mask, drawn per 64-lane block and only on
-     * blocks where `gate` has a set bit — the width-generic image of
-     * the 64-lane engine's "draw iff this op ran / this condition
-     * held for the word" structure. Blocks outside `gate` consume
-     * nothing from their streams.
+     * Bernoulli lane mask of a channel, drawn per 64-lane block and
+     * only on blocks where `gate` has a set bit — the width-generic
+     * image of the 64-lane engine's "draw iff this op ran / this
+     * condition held for the word" structure. Blocks outside `gate`
+     * consume nothing from their streams.
      */
-    Lane drawWhere(double p, const Lane &gate);
+    Lane drawWhere(const Channel &ch, const Lane &gate);
     /** Raw uniform bits per block, gated like drawWhere. */
     Lane randBitsWhere(const Lane &gate);
 
     RareStream & rareStreamFor(double p);
     /** Rare-path mask for block b (cold path: a hit lands in-word). */
     uint64_t drawRareBlock(RareStream &stream, int b);
-    /** Dense-path mask for block b (digit comparison on its Rng). */
-    uint64_t drawDenseBlock(double p, int b);
+    /** Mask of a non-rare channel for block b: empty, full or a
+     *  dense digit comparison on the block's Rng. */
+    uint64_t drawPlainBlock(const Channel &ch, int b);
 
     /** Mirror any new scalar-mode records into batch records. */
     void syncScalarRecord();
@@ -312,9 +341,14 @@ class BatchFrameSimulatorT
     int numQubits_;
     int numLanes_;
     int numBlocks_;
-    int blockLanes_[NW];      ///< Live lanes per 64-lane block.
+    /** Live lanes per 64-lane block; 0 past numBlocks_. */
+    int blockLanes_[NW] = {};
     Lane live_;
     ErrorModel em_;
+    /** The error model's channels: gate/readout/reset error p, leak
+     *  injection, seepage, multi-level readout miss, transport and
+     *  DQLR excitation. */
+    Channel chP_, chLeak_, chSeep_, chMiss_, chTransport_, chExcite_;
     /** Per-block group streams; block b draws what a 64-lane group at
      *  first_shot + 64*b would draw. */
     std::vector<Rng> blockRng_;

@@ -38,33 +38,31 @@ bernoulliRareMask(Rng &rng, double log1mp, uint64_t &skip, int nlanes)
     return mask;
 }
 
+BernoulliDigits
+bernoulliDigits(double p)
+{
+    // p = mant * 2^(e-53) with a 53-bit integer mantissa, so the
+    // 64-digit word p * 2^64 is mant * 2^(e+11); p < 1 keeps e <= 0,
+    // and digits past the 64th are dropped (the walk never reads them).
+    int e = 0;
+    const double m = std::frexp(p, &e);
+    const uint64_t mant = (uint64_t)std::ldexp(m, 53);
+    const int shift = e + 11;
+    BernoulliDigits digits;
+    if (shift >= 0)
+        digits.word = mant << shift;
+    else if (shift > -64)
+        digits.word = mant >> -shift;
+    // The mantissa's lowest 1 bit is digit 52 - e - ctz(mant).
+    const int last = 52 - e - __builtin_ctzll(mant);
+    digits.count = last < 64 ? last + 1 : 64;
+    return digits;
+}
+
 uint64_t
 bernoulliDenseMask(Rng &rng, double p, int nlanes)
 {
-    // Lane-parallel evaluation of U < p by comparing binary digits of
-    // each lane's uniform U against the digits of p, most significant
-    // first. `eq` holds lanes whose digits so far equal p's prefix.
-    uint64_t lt = 0;
-    uint64_t eq = laneMask(nlanes);
-    double frac = p;
-    for (int i = 0; i < 64 && eq != 0; ++i) {
-        frac *= 2.0;
-        const bool digit = frac >= 1.0;
-        if (digit)
-            frac -= 1.0;
-        const uint64_t w = rng.next();
-        if (digit) {
-            lt |= eq & ~w;
-            eq &= w;
-        } else {
-            eq &= ~w;
-        }
-        if (frac <= 0.0)
-            break;
-    }
-    // Exhausted digits with lanes still equal: U == p exactly, not
-    // less-than; those lanes stay clear.
-    return lt;
+    return bernoulliDenseMask(rng, bernoulliDigits(p), nlanes);
 }
 
 BernoulliMaskSampler::Stream &

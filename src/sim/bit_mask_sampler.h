@@ -51,7 +51,49 @@ uint64_t bernoulliGeometricGap(Rng &rng, double log1mp);
 uint64_t bernoulliRareMask(Rng &rng, double log1mp, uint64_t &skip,
                            int nlanes);
 
-/** Dense-path mask: lane-parallel digit comparison U < p. */
+/**
+ * The binary expansion of a probability p in (0, 1), most significant
+ * digit first: digit i (weight 2^-(i+1)) is bit 63 - i of `word`, and
+ * `count` is the number of digits through p's last 1 digit (64 when
+ * the expansion runs past 64 digits). Built once per noise channel so
+ * the dense path streams digits instead of redoubling a double.
+ */
+struct BernoulliDigits
+{
+    uint64_t word = 0;
+    int count = 0;
+};
+
+/** p's digits for the dense path; p must lie in (0, 1). */
+BernoulliDigits bernoulliDigits(double p);
+
+/**
+ * Dense-path mask: lane-parallel digit comparison U < p over the low
+ * `nlanes` lanes, one RNG word per digit. `eq` holds the lanes whose
+ * uniform digits so far equal p's prefix; the walk ends when no lane
+ * is still equal or after p's last 1 digit (lanes equal to p through
+ * it have U >= p and stay clear). The digit select is branch-free.
+ */
+inline uint64_t
+bernoulliDenseMask(Rng &rng, const BernoulliDigits &digits, int nlanes)
+{
+    uint64_t lt = 0;
+    uint64_t eq = laneMask64(nlanes);
+    uint64_t word = digits.word;
+    for (int i = 0; i < digits.count && eq != 0; ++i) {
+        const uint64_t w = rng.next();
+        // All ones when the digit is 1: U's digit 0 then means U < p,
+        // and equality continues on U's 1 digits (on 0 digits for a
+        // 0 digit of p).
+        const uint64_t one = (uint64_t)((int64_t)word >> 63);
+        word <<= 1;
+        lt |= eq & ~w & one;
+        eq &= ~(w ^ one);
+    }
+    return lt;
+}
+
+/** Dense-path mask for a probability given as a double. */
 uint64_t bernoulliDenseMask(Rng &rng, double p, int nlanes);
 
 class BernoulliMaskSampler

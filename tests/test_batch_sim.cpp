@@ -3,7 +3,8 @@
  * Batch engine tests, in three tiers:
  *
  *  1. BernoulliMaskSampler: both sampling strategies hit their target
- *     rates and respect lane bounds.
+ *     rates and respect lane bounds, and the precomputed-digit dense
+ *     walk reproduces the redoubling reference word for word.
  *  2. BatchFrameSimulator word semantics: masked propagation truth
  *     tables and per-lane leakage statistics at W=64.
  *  3. Differential: the experiment driver at width 1 reproduces a
@@ -84,6 +85,58 @@ TEST(MaskSampler, RespectsLaneBounds)
     EXPECT_EQ(sampler.draw(0.0, 64), 0u);
     EXPECT_EQ(sampler.draw(1.0, 64), ~uint64_t{0});
     EXPECT_EQ(sampler.draw(1.0, 7), laneMask(7));
+}
+
+/** The dense digit walk as it was first written: redouble a double
+ *  per RNG word. Kept here as the reference the precomputed-digit
+ *  walk must reproduce word for word. */
+uint64_t
+referenceDenseMask(Rng &rng, double p, int nlanes)
+{
+    uint64_t lt = 0;
+    uint64_t eq = laneMask(nlanes);
+    double frac = p;
+    for (int i = 0; i < 64 && eq != 0; ++i) {
+        frac *= 2.0;
+        const bool digit = frac >= 1.0;
+        if (digit)
+            frac -= 1.0;
+        const uint64_t w = rng.next();
+        if (digit) {
+            lt |= eq & ~w;
+            eq &= w;
+        } else {
+            eq &= ~w;
+        }
+        if (frac <= 0.0)
+            break;
+    }
+    return lt;
+}
+
+TEST(MaskSampler, DenseDigitsMatchReferenceLoop)
+{
+    const double ps[] = {0.02, 0.1,  0.25, 0.375,
+                         0.5,  0.75, 1.0 - 0x1.0p-53};
+    for (double p : ps) {
+        const BernoulliDigits digits = bernoulliDigits(p);
+        for (int nlanes : {1, 37, 64}) {
+            Rng ref(1000 + nlanes), viaP(1000 + nlanes),
+                viaDigits(1000 + nlanes);
+            for (int i = 0; i < 500; ++i) {
+                const uint64_t want = referenceDenseMask(ref, p, nlanes);
+                ASSERT_EQ(bernoulliDenseMask(viaP, p, nlanes), want)
+                    << "p=" << p << " nlanes=" << nlanes << " i=" << i;
+                ASSERT_EQ(bernoulliDenseMask(viaDigits, digits, nlanes),
+                          want)
+                    << "p=" << p << " nlanes=" << nlanes << " i=" << i;
+                // Equal next words pin the RNG consumption too.
+                const uint64_t next = ref.next();
+                ASSERT_EQ(viaP.next(), next) << "p=" << p;
+                ASSERT_EQ(viaDigits.next(), next) << "p=" << p;
+            }
+        }
+    }
 }
 
 // ------------------------------------------------- word-level semantics
@@ -485,6 +538,58 @@ TEST(BatchDifferential, WideWidthsMatchWidth64Exactly)
 
             expectResultsIdentical(w64, w256, "W=256 vs W=64");
             expectResultsIdentical(w64, w512, "W=512 vs W=64");
+        }
+    }
+}
+
+/**
+ * The same pin on error models whose channels share or skip streams:
+ * the wide widths' clean-tail path subtracts the p and leak streams'
+ * pending skips in one step, so it must count draws per stream, not
+ * per channel. Covers leak == p (one stream for both), seepage on its
+ * own probability, leakage off, and a multi-level miss rate on the
+ * dense path.
+ */
+TEST(BatchDifferential, WideWidthsMatchWidth64OnAliasedChannels)
+{
+    ErrorModel leak_is_p = ErrorModel::standard(1e-3);
+    leak_is_p.leakFraction = 1.0;
+    ErrorModel own_seep = ErrorModel::standard(2e-3);
+    own_seep.seepFraction = 0.3;
+    ErrorModel no_leak = ErrorModel::standard(2e-3);
+    no_leak.leakageEnabled = false;
+    ErrorModel dense_miss = ErrorModel::standard(2e-3);
+    dense_miss.multiLevelErrMult = 20.0;
+    ASSERT_EQ(leak_is_p.leakInjectProb(), leak_is_p.p);
+    ASSERT_GE(dense_miss.multiLevelMissProb(),
+              BernoulliMaskSampler::kRareThreshold);
+
+    RotatedSurfaceCode code(3);
+    for (const ErrorModel &em : {leak_is_p, own_seep, no_leak,
+                                 dense_miss}) {
+        for (RemovalProtocol protocol :
+             {RemovalProtocol::SwapLrc, RemovalProtocol::Dqlr}) {
+            for (PolicyKind kind : {PolicyKind::Always,
+                                    PolicyKind::Eraser,
+                                    PolicyKind::EraserM}) {
+                ExperimentConfig cfg;
+                cfg.rounds = 6;
+                cfg.shots = 391;
+                cfg.seed = 77;
+                cfg.em = em;
+                cfg.protocol = protocol;
+                cfg.trackLpr = true;
+
+                cfg.batchWidth = 64;
+                auto w64 = MemoryExperiment(code, cfg).run(kind);
+                cfg.batchWidth = 256;
+                auto w256 = MemoryExperiment(code, cfg).run(kind);
+                cfg.batchWidth = 512;
+                auto w512 = MemoryExperiment(code, cfg).run(kind);
+
+                expectResultsIdentical(w64, w256, "W=256 vs W=64");
+                expectResultsIdentical(w64, w512, "W=512 vs W=64");
+            }
         }
     }
 }

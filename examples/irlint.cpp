@@ -10,14 +10,16 @@
  *              [--rounds N] [--basis z|x] [--protocol swap|dqlr]
  *              [--p RATE] [--quiet]
  *
- * Defaults: surface, d=3, rounds=3d, basis z, swap-LRC, p=1e-3.
+ * Defaults: surface, d=3, rounds=3d, basis z, swap-LRC, p=1e-3. A
+ * numeric flag whose token does not parse whole, or whose value is out
+ * of range, is an error (exit status 2).
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli_flags.h"
 #include "code/ir_analysis.h"
 #include "code/rotated_surface_code.h"
 
@@ -69,12 +71,12 @@ main(int argc, char **argv)
             const char *v = next();
             if (!v)
                 return usage(argv[0]);
-            distance = std::atoi(v);
+            distance = (int)cli::longFlag("--distance", v, 2, 99);
         } else if (arg == "--rounds") {
             const char *v = next();
             if (!v)
                 return usage(argv[0]);
-            rounds = std::atoi(v);
+            rounds = (int)cli::longFlag("--rounds", v, 1, 100000);
         } else if (arg == "--basis") {
             const char *v = next();
             if (v && (std::strcmp(v, "z") == 0 ||
@@ -97,16 +99,12 @@ main(int argc, char **argv)
             const char *v = next();
             if (!v)
                 return usage(argv[0]);
-            p = std::atof(v);
+            p = cli::doubleFlag("--p", v, 0.0, 1.0);
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
             return usage(argv[0]);
         }
-    }
-    if (distance < 2 || distance > 99) {
-        std::fprintf(stderr, "irlint: bad distance %d\n", distance);
-        return 2;
     }
     if (rounds < 0)
         rounds = 3 * distance;

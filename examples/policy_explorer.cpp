@@ -9,7 +9,9 @@
  *
  * Axis options take comma-separated lists and expand into a full
  * SweepPlan grid; each point gets a deterministic seed derived from
- * its physical axis tuple (override with --seed).
+ * its physical axis tuple (override with --seed). A numeric flag
+ * whose token does not parse whole, or whose value is out of range,
+ * is an error (exit status 2).
  *
  * Options:
  *   --distance D[,D...]  odd code distances (default 5)
@@ -44,11 +46,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "exp/sweep_runner.h"
 
 using namespace qec;
@@ -137,43 +139,44 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        const char *flag = arg.c_str();
         if (arg == "--distance") {
             distances.clear();
             for (const std::string &v : splitList(next()))
-                distances.push_back(std::atoi(v.c_str()));
+                distances.push_back(
+                    (int)cli::longFlag(flag, v.c_str(), 3, 99));
         } else if (arg == "--rounds") {
-            rounds = std::atoi(next());
+            rounds = (int)cli::longFlag(flag, next(), 1, 100000);
         } else if (arg == "--p") {
             ps.clear();
             for (const std::string &v : splitList(next()))
-                ps.push_back(std::atof(v.c_str()));
+                ps.push_back(cli::doubleFlag(flag, v.c_str(), 0.0, 1.0));
         } else if (arg == "--shots") {
-            shots = std::strtoull(next(), nullptr, 10);
+            shots = cli::uint64Flag(flag, next(), 1);
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = cli::uint64Flag(flag, next());
             seed_override = true;
         } else if (arg == "--policy") {
             policy = next();
         } else if (arg == "--precision") {
-            precision = std::atof(next());
+            precision = cli::doubleFlag(flag, next(), 0.0, 1.0);
         } else if (arg == "--json") {
             json_path = next();
         } else if (arg == "--checkpoint") {
             checkpoint_path = next();
         } else if (arg == "--checkpoint-every") {
-            checkpoint_every = std::strtoull(next(), nullptr, 10);
-            if (checkpoint_every == 0)
-                usage(argv[0]);
+            checkpoint_every = cli::uint64Flag(flag, next(), 1);
         } else if (arg == "--deadline") {
-            deadline = std::atof(next());
+            deadline = cli::doubleFlag(flag, next(), 0.0, 1e9);
         } else if (arg == "--workers") {
-            workers = (unsigned)std::atoi(next());
+            workers = (unsigned)cli::longFlag(flag, next(), 0, 1024);
         } else if (arg == "--max-total-shots") {
-            max_total_shots = std::strtoull(next(), nullptr, 10);
+            max_total_shots = cli::uint64Flag(flag, next());
         } else if (arg == "--max-live-points") {
-            max_live_points = (size_t)std::strtoull(next(), nullptr, 10);
+            max_live_points = (size_t)cli::uint64Flag(flag, next());
         } else if (arg == "--width") {
-            width = (unsigned)std::atoi(next());
+            width =
+                (unsigned)cli::longFlag(flag, next(), 1, kMaxBatchLanes);
         } else if (arg == "--protocol") {
             const std::string v = next();
             if (v == "dqlr")

@@ -6,11 +6,10 @@
  *  The IR decouples "what circuit" from "how fast": a CircuitProgram
  *  holds one round body plus the final transversal readout as indices
  *  into an op pool, and the engine replays that body `rounds` times
- *  with the same word-level op/noise helpers the hand-wired driver
- *  used. Divergent adaptive-LRC tails are IR branch points (LrcSlot
- *  instructions) that the controller fills per lane/word at replay
- *  time, so adding a protocol means adding a compiler path — not an
- *  engine edit.
+ *  with its word-level op/noise helpers. Divergent adaptive-LRC tails
+ *  are IR branch points (LrcSlot instructions) that the controller
+ *  fills per lane/word at replay time, so adding a protocol means
+ *  adding a compiler path — not an engine edit.
  *
  *  Instruction set:
  *
@@ -22,12 +21,13 @@
  *  | RoundBegin | trip count (rounds)| —              | marks the start of the replayed round body |
  *  | RoundEnd   | —                  | —              | marks the end of the round body; instructions after it are the final transversal measurement |
  *
- *  Draw-order contract: replaying a compiled program must consume the
- *  per-64-lane-block noise streams in exactly the order the hand-wired
- *  driver did, so per-shot verdicts stay bit-identical at every batch
- *  width. The compiler guarantees this by emitting the round body in
- *  schedule order and the engine by reusing execute()/executeBlock()
- *  unchanged.
+ *  Draw-order contract: replaying a compiled program consumes each
+ *  64-lane block's noise streams in one fixed order, so per-shot
+ *  verdicts are bit-identical at every batch width. The compiler
+ *  guarantees this by emitting the round body in schedule order and
+ *  the engine by running LrcSlot tails through its single-block op
+ *  bodies. Golden tables in tests/test_batch_sim.cpp pin the replay's
+ *  verdict fingerprints, counters and LPR at W = 1/64/256/512.
  */
 
 #include <cstdint>

@@ -369,8 +369,8 @@ passDetectorCoverage(PassContext &ctx)
 // sub-runs" contract — requires every draw inside an LrcSlot tail to
 // stay confined to the branch's own 64-lane block. The engine
 // guarantees that exactly for the single-block replay repertoire
-// (Reset/Cnot/LeakageIswap/Measure/MeasureX, executeBlock's fast
-// cases, which draw through drawBlockWhere and blockRng only); any
+// (Reset/Cnot/LeakageIswap/Measure/MeasureX, the single-block op
+// bodies, which draw through drawBlockWhere and blockRng only); any
 // other op type falls back to the full-width path, whose block
 // confinement is an accident of the mask rather than a structural
 // property. A template op outside the repertoire is therefore an

@@ -22,7 +22,8 @@
  * probability class so edge probabilities can be re-evaluated for any
  * physical error rate p without re-enumeration. For long experiments
  * the bulk rounds are built once and tiled through time; tests assert
- * tiled == direct.
+ * that the tiled and direct edge multisets match, while their edge
+ * order differs by design.
  *
  * Leakage mechanisms are deliberately NOT represented: the paper's
  * decoder is leakage-unaware, and so is this one.

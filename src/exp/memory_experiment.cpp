@@ -584,8 +584,8 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         // segment, the plain readouts (masked off the lanes whose
         // policies LRC'd them under SwapLrc), and the LRC-slot branch
         // expanded to this round's per-block divergent tails.
-        // Draw-for-draw identical to the hand-wired round driver it
-        // replaced (frozen in exp/handwired_reference.h).
+        // The W>=64 golden tables in tests/test_batch_sim.cpp pin
+        // what this replay draws, records and decides.
         ProgramLrcFillT<NW> fill;
         fill.lrcOnStab = lrc_on_stab.data();
         fill.blockTails = active;

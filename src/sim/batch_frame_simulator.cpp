@@ -781,46 +781,6 @@ BatchFrameSimulatorT<NW>::opMeasureB(const Op &op, bool x_basis, int b,
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::executeBlock(const Op &op, int block,
-                                       uint64_t mask)
-{
-    if (scalar_ || NW == 1) {
-        Lane m{};
-        laneWordRef(m, block) = mask;
-        execute(op, m);
-        return;
-    }
-    mask &= laneWord(live_, block);
-    if (!mask)
-        return;
-    switch (op.type) {
-      case OpType::Reset:
-        opResetB(op.q0, block, mask);
-        break;
-      case OpType::Cnot:
-        opCnotB(op.q0, op.q1, block, mask);
-        break;
-      case OpType::LeakageIswap:
-        opLeakageIswapB(op.q0, op.q1, block, mask);
-        break;
-      case OpType::Measure:
-        opMeasureB(op, false, block, mask);
-        break;
-      case OpType::MeasureX:
-        opMeasureB(op, true, block, mask);
-        break;
-      default: {
-        // Not part of the tail repertoire: full-width path.
-        Lane m{};
-        laneWordRef(m, block) = mask;
-        execute(op, m);
-        break;
-      }
-    }
-}
-
-template <int NW>
-void
 BatchFrameSimulatorT<NW>::execute(const Op &op, const Lane &mask_in)
 {
     const Lane mask = mask_in & live_;
@@ -1024,8 +984,8 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
                         m = andnot(m, fills[f].lrcOnStab[inst.a]);
             }
             // Skipping the whole pair when no lane remains mirrors
-            // the hand-wired drivers (and execute()'s own empty-mask
-            // early return): no draws, no record entry.
+            // execute()'s own empty-mask early return: no draws, no
+            // record entry.
             if (!anyLane(m))
                 break;
             Op meas = prog.pool[inst.b];

@@ -139,19 +139,6 @@ class BatchFrameSimulatorT
     /** Execute one operation on all live lanes. */
     void execute(const Op &op) { execute(op, live_); }
 
-    /**
-     * Execute one operation on lanes of a single 64-lane block, as
-     * policy-divergent LRC/DQLR tails do (their masks never span
-     * blocks). Operates on plane word `block` only (word arithmetic
-     * at any NW) while consuming exactly the draws the full-width
-     * execute would consume for a mask confined to that block, so
-     * results are bit-identical; record entries still carry
-     * full-width lane sets. Ops outside the tail repertoire fall back
-     * to the full-width path. Program replay calls the single-block
-     * bodies directly; this entry point serves external callers.
-     */
-    void executeBlock(const Op &op, int block, uint64_t mask);
-
     /** Execute a span of operations on a subset of lanes. */
     void executeRange(const Op *begin, const Op *end, const Lane &mask);
     void
@@ -166,8 +153,10 @@ class BatchFrameSimulatorT
      * instructions stamp their pool Measure with `round` (masking off
      * LRC'd lanes when the program replaces plain readouts), and each
      * LrcSlot branch expands the fill registered under its slot id
-     * (`fills[id]`, ids >= num_fills stay empty). Draw-for-draw
-     * identical to the hand-wired round drivers this replaces.
+     * (`fills[id]`, ids >= num_fills stay empty). The verdicts,
+     * counters and LPR this replay produces are pinned per width,
+     * protocol, policy and basis by golden tables
+     * (tests/test_batch_sim.cpp).
      */
     void executeProgramRound(const CircuitProgram &prog, int round,
                              const Lane &mask,

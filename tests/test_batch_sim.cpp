@@ -7,11 +7,13 @@
  *     walk reproduces the redoubling reference word for word.
  *  2. BatchFrameSimulator word semantics: masked propagation truth
  *     tables and per-lane leakage statistics at W=64.
- *  3. Differential: the experiment driver at width 1 reproduces a
- *     golden table recorded from the retired per-shot lattice driver
- *     draw for draw (the FrameSimulator is the W=1 reference
- *     implementation), and at W=64 it agrees with the W=1 stream
- *     statistically on LER and LPR.
+ *  3. Differential: the experiment driver reproduces golden tables
+ *     draw for draw — at width 1 a table recorded from the retired
+ *     per-shot lattice driver (the FrameSimulator is the W=1
+ *     reference implementation), at W = 64/256/512 tables recorded
+ *     from compiled-program replay while the retired pre-IR round
+ *     driver still agreed with it — and at W=64 it agrees with the
+ *     W=1 stream statistically on LER and LPR.
  */
 
 #include <gtest/gtest.h>
@@ -291,7 +293,7 @@ TEST(BatchSim, NoiselessMemoryCircuitIsDeterministicAtW64)
     }
 }
 
-// ------------------------------------------------------ golden W=1
+// ------------------------------------------------------ golden runs
 
 ExperimentConfig
 diffConfig(RemovalProtocol protocol)
@@ -327,18 +329,21 @@ lprDigest(const ExperimentResult &r)
     return h;
 }
 
-struct GoldenW1
+/** One pinned run: its policy, every counter it reports and the
+ *  engine width it runs at. */
+struct GoldenRun
 {
     PolicyKind kind;
     uint64_t logicalErrors, tp, fp, tn, fn, lrcsScheduled;
     uint64_t verdictFingerprint, lprDigest;
+    unsigned width = 1;
 };
 
 // Recorded from the per-shot lattice driver (one FrameSimulator per
 // shot executing QecScheduleGenerator rounds and the ERASER+M
 // in-round squash itself), on diffConfig at d=3, before that driver
 // was retired. The W=1 word-group driver must keep reproducing it.
-const GoldenW1 kGoldenSwapLrc[] = {
+const GoldenRun kGoldenSwapLrc[] = {
     {PolicyKind::Never, 16, 0, 0, 14318, 82, 0,
      0x1cc922d7440b3ec6ull, 0x56253bb26498e6d9ull},
     {PolicyKind::Always, 33, 19, 6381, 7988, 12, 6400,
@@ -351,7 +356,7 @@ const GoldenW1 kGoldenSwapLrc[] = {
      0x9f3fb62d40852960ull, 0x37ce164e1fd4ff8cull},
 };
 // DQLR with exchange transport.
-const GoldenW1 kGoldenDqlr[] = {
+const GoldenRun kGoldenDqlr[] = {
     {PolicyKind::Always, 26, 35, 12765, 1593, 7, 12800,
      0xa513150995e0dac4ull, 0x6f1ea4cca5fd3ac7ull},
     {PolicyKind::Eraser, 20, 11, 339, 14031, 19, 350,
@@ -362,18 +367,21 @@ const GoldenW1 kGoldenDqlr[] = {
      0x112f4984873e8f3full, 0xa839c29cada42d0eull},
 };
 // Memory-X, SwapLrc.
-const GoldenW1 kGoldenMemoryX = {
+const GoldenRun kGoldenMemoryX = {
     PolicyKind::Eraser, 13, 17, 349, 14010, 24, 366,
     0xabd982c2cedecdd2ull, 0x488b8d4caac64346ull};
 
 void
-expectGolden(const ExperimentConfig &cfg, const GoldenW1 &golden)
+expectGolden(int distance, ExperimentConfig cfg, const GoldenRun &golden)
 {
-    RotatedSurfaceCode code(3);
+    cfg.batchWidth = golden.width;
+    RotatedSurfaceCode code(distance);
     MemoryExperiment exp(code, cfg);
     const ExperimentResult r = exp.run(golden.kind);
-    const std::string what = policyKindName(
-        golden.kind, cfg.protocol == RemovalProtocol::Dqlr);
+    const std::string what =
+        policyKindName(golden.kind,
+                       cfg.protocol == RemovalProtocol::Dqlr) +
+        " W=" + std::to_string(golden.width);
     EXPECT_EQ(r.shots, cfg.shots) << what;
     EXPECT_EQ(r.logicalErrors, golden.logicalErrors) << what;
     EXPECT_EQ(r.tp, golden.tp) << what;
@@ -387,23 +395,125 @@ expectGolden(const ExperimentConfig &cfg, const GoldenW1 &golden)
 
 TEST(BatchDifferential, Width1MatchesGoldenSwapLrc)
 {
-    for (const GoldenW1 &golden : kGoldenSwapLrc)
-        expectGolden(diffConfig(RemovalProtocol::SwapLrc), golden);
+    for (const GoldenRun &golden : kGoldenSwapLrc)
+        expectGolden(3, diffConfig(RemovalProtocol::SwapLrc), golden);
 }
 
 TEST(BatchDifferential, Width1MatchesGoldenDqlr)
 {
     auto cfg = diffConfig(RemovalProtocol::Dqlr);
     cfg.em.transport = TransportModel::Exchange;
-    for (const GoldenW1 &golden : kGoldenDqlr)
-        expectGolden(cfg, golden);
+    for (const GoldenRun &golden : kGoldenDqlr)
+        expectGolden(3, cfg, golden);
 }
 
 TEST(BatchDifferential, Width1MatchesGoldenMemoryX)
 {
     auto cfg = diffConfig(RemovalProtocol::SwapLrc);
     cfg.basis = Basis::X;
-    expectGolden(cfg, kGoldenMemoryX);
+    expectGolden(3, cfg, kGoldenMemoryX);
+}
+
+/** The compiled-program replay config: 161 shots give full groups
+ *  plus a ragged tail at every width, and multi-block ragged groups
+ *  at 256/512. */
+ExperimentConfig
+replayConfig(RemovalProtocol protocol, Basis basis)
+{
+    ExperimentConfig cfg;
+    cfg.rounds = 12;
+    cfg.basis = basis;
+    cfg.em = ErrorModel::standard(2e-3);
+    cfg.protocol = protocol;
+    cfg.shots = 161;
+    cfg.seed = 77;
+    cfg.decoderKind = DecoderKind::UnionFind;
+    cfg.trackLpr = true;
+    cfg.threads = 1;
+    return cfg;
+}
+
+// Recorded from compiled-program replay on replayConfig at d=5, at the
+// last commit that still carried the pre-IR round driver (an
+// imperative word-group loop over the same single-block op bodies);
+// on every row, and on X-basis ERASER/ERASER+M at W=64 too, the two
+// agreed on every field below and on the full per-round LPR series.
+// A fault in an op body both drivers shared moved both sides of that
+// differential alike; it moves these rows. A mismatch means replay
+// moved: never re-baseline it to make it pass.
+//
+// The ERASER controller drives divergent LRC-slot tails at every width;
+// ERASER+M takes the multi-level squash branch; Optimal is the PerLane
+// scatter fallback, Always the lane-uniform schedule, Never the empty
+// branch.
+const GoldenRun kGoldenReplaySwapLrc[] = {
+    {PolicyKind::Eraser, 5, 33, 769, 47446, 52, 802,
+     0x94db42c8a420e9c8ull, 0x38ae6176b7c11e4cull, 64},
+    {PolicyKind::Eraser, 5, 33, 769, 47446, 52, 802,
+     0x94db42c8a420e9c8ull, 0x38ae6176b7c11e4cull, 256},
+    {PolicyKind::Eraser, 5, 33, 769, 47446, 52, 802,
+     0x94db42c8a420e9c8ull, 0x38ae6176b7c11e4cull, 512},
+    {PolicyKind::EraserM, 4, 36, 803, 47428, 33, 839,
+     0x09a81993f66de9fbull, 0x8272547945f1bbc1ull, 256},
+    {PolicyKind::Optimal, 1, 50, 0, 48250, 0, 50,
+     0xd1bed6c3f18e17deull, 0x60bd0becb241c5c9ull, 256},
+    {PolicyKind::Always, 7, 56, 23128, 25099, 17, 23184,
+     0x77df337a9f0fcaafull, 0x432b31e008c550fdull, 256},
+    {PolicyKind::Never, 3, 0, 0, 48014, 286, 0,
+     0x6f368e2313504c5cull, 0x9492f4afd82dbc26ull, 256},
+};
+const GoldenRun kGoldenReplayDqlr[] = {
+    {PolicyKind::Eraser, 2, 37, 758, 47456, 49, 795,
+     0xbf7ca48ea08f9d18ull, 0x3acb71f7cb628ac8ull, 64},
+    {PolicyKind::Eraser, 2, 37, 758, 47456, 49, 795,
+     0xbf7ca48ea08f9d18ull, 0x3acb71f7cb628ac8ull, 256},
+    {PolicyKind::Eraser, 2, 37, 758, 47456, 49, 795,
+     0xbf7ca48ea08f9d18ull, 0x3acb71f7cb628ac8ull, 512},
+};
+// Memory-X.
+const GoldenRun kGoldenReplaySwapLrcX[] = {
+    {PolicyKind::Eraser, 5, 41, 725, 47469, 65, 766,
+     0xb481eb393140b44full, 0x420634d9bbc50737ull, 256},
+    {PolicyKind::Eraser, 5, 41, 725, 47469, 65, 766,
+     0xb481eb393140b44full, 0x420634d9bbc50737ull, 512},
+    {PolicyKind::EraserM, 1, 27, 728, 47506, 39, 755,
+     0x260bdf8f74f1254dull, 0x551e1e4d9574f966ull, 256},
+    {PolicyKind::EraserM, 1, 27, 728, 47506, 39, 755,
+     0x260bdf8f74f1254dull, 0x551e1e4d9574f966ull, 512},
+};
+const GoldenRun kGoldenReplayDqlrX[] = {
+    {PolicyKind::Eraser, 5, 32, 731, 47485, 52, 763,
+     0xe5de7fe443739655ull, 0xc403163ec962a583ull, 256},
+    {PolicyKind::Eraser, 5, 32, 731, 47485, 52, 763,
+     0xe5de7fe443739655ull, 0xc403163ec962a583ull, 512},
+    {PolicyKind::EraserM, 5, 33, 786, 47458, 23, 819,
+     0x9e73443afda2a35cull, 0xb08a30cee8b70d0dull, 256},
+    {PolicyKind::EraserM, 5, 33, 786, 47458, 23, 819,
+     0x9e73443afda2a35cull, 0xb08a30cee8b70d0dull, 512},
+};
+
+TEST(BatchDifferential, ReplayMatchesGoldenSwapLrc)
+{
+    for (const GoldenRun &golden : kGoldenReplaySwapLrc)
+        expectGolden(5, replayConfig(RemovalProtocol::SwapLrc, Basis::Z),
+                     golden);
+}
+
+TEST(BatchDifferential, ReplayMatchesGoldenDqlr)
+{
+    for (const GoldenRun &golden : kGoldenReplayDqlr)
+        expectGolden(5, replayConfig(RemovalProtocol::Dqlr, Basis::Z),
+                     golden);
+}
+
+TEST(BatchDifferential, ReplayMatchesGoldenMemoryX)
+{
+    for (const GoldenRun &golden : kGoldenReplaySwapLrcX)
+        expectGolden(5, replayConfig(RemovalProtocol::SwapLrc, Basis::X),
+                     golden);
+    for (const GoldenRun &golden : kGoldenReplayDqlrX)
+        expectGolden(5, replayConfig(RemovalProtocol::Dqlr, Basis::X),
+                     golden);
 }
 
 // --------------------------------------------- statistical W=64 checks

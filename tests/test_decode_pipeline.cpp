@@ -595,8 +595,8 @@ TEST(DecodePipeline, SyndromeCacheFlushesWhenFull)
 
 TEST(DecodePipeline, CustomDecoderFactoryIsUsed)
 {
-    // The injection point the perf harness uses to run the frozen PR 1
-    // decoders: the factory-built decoder must drive the verdicts.
+    // The injection point for any Decoder implementation: the
+    // factory-built decoder must drive the verdicts.
     struct AlwaysFlip : Decoder
     {
         bool

@@ -576,11 +576,12 @@ quartilesOf(std::vector<double> v)
 
 /**
  * Machine-readable decode-throughput tracking: run the decoded ERASER
- * memory sweep at d = 7/9/11 for both decoders, once through the
- * scalar decode-per-shot loop (batchDecode = false) and once through
- * the batch-aware pipeline, both on the same decoders, and write
- * shots/s, the pipeline's speedup, cache hit rate
- * and zero-defect fraction as JSON. Each entry also runs the
+ * memory sweep at d = 7/9/11 for both decoders, alternating the
+ * scalar decode-per-shot loop (batchDecode = false) and the
+ * batch-aware pipeline on the same decoders for kDecodeRuns pairs at
+ * one fixed thread count, and write the median and quartiles of both
+ * shots/s rates and of the per-pair pipeline speedup, plus cache hit
+ * rate and zero-defect fraction, as JSON. Each entry also runs the
  * component-granular stage and the 2d-row sliding window against an
  * all-caches-off reference and records the component-cache hit rate
  * plus verdicts_match_uncached / verdicts_match_windowed fingerprint
@@ -620,12 +621,20 @@ emitDecodeJson()
         return (double)result.shots / (secs > 0.0 ? secs : 1e-9);
     };
 
+    // A few hundred shots per run: one run alone is too noisy to rank
+    // the scalar loop against the pipeline, so the cell pairs them
+    // kDecodeRuns times, alternating, at a fixed thread count.
+    constexpr int kDecodeRuns = 5;
+    constexpr unsigned kDecodeThreads = 1;
     std::fprintf(out,
                  "{\n  \"bench\": \"decoded d-sweep, ERASER policy, "
                  "rounds=3d, batchWidth=64; scalar = "
                  "decode-per-shot loop (batchDecode=false), same "
-                 "decoders\",\n"
-                 "  \"entries\": [\n");
+                 "decoders; rates and speedup are the median (q1, q3) "
+                 "of %d alternating scalar/pipeline pairs on %u "
+                 "thread\",\n"
+                 "  \"entries\": [\n",
+                 kDecodeRuns, kDecodeThreads);
 
     // The grid (and each point's seed) is a SweepPlan; the scalar vs
     // pipeline pairing below is this bench's own instrumentation on
@@ -649,12 +658,21 @@ emitDecodeJson()
             code = std::make_unique<RotatedSurfaceCode>(
                 point.distance);
         ExperimentConfig cfg = point.config;
-        cfg.batchDecode = false;
-        const double scalar_rate = shots_per_sec(*code, cfg, nullptr);
-        cfg.batchDecode = true;
+        cfg.threads = kDecodeThreads;
+        std::vector<double> scalar_rates, batched_rates, speedups;
         ExperimentResult batched;
-        const double batched_rate =
-            shots_per_sec(*code, cfg, &batched);
+        for (int run = 0; run < kDecodeRuns; ++run) {
+            cfg.batchDecode = false;
+            scalar_rates.push_back(shots_per_sec(*code, cfg, nullptr));
+            cfg.batchDecode = true;
+            batched_rates.push_back(
+                shots_per_sec(*code, cfg, &batched));
+            speedups.push_back(batched_rates.back() /
+                               scalar_rates.back());
+        }
+        const Quartiles scalar_q = quartilesOf(scalar_rates);
+        const Quartiles batched_q = quartilesOf(batched_rates);
+        const Quartiles speedup_q = quartilesOf(speedups);
         // Approximate round-truncated prefix keying: the knob that
         // makes dedup fire at p = 1e-3 (exact keys almost never
         // repeat there). Reported side by side with the exact hit
@@ -697,10 +715,16 @@ emitDecodeJson()
             out,
             "%s    {\"decoder\": \"%s\", \"p\": %.0e, "
             "\"d\": %d, \"rounds\": %d, \"shots\": %llu, "
-            "\"seed\": %llu, "
+            "\"seed\": %llu, \"threads\": %u, \"runs\": %d, "
             "\"scalar_shots_per_s\": %.1f, "
+            "\"scalar_shots_per_s_q1\": %.1f, "
+            "\"scalar_shots_per_s_q3\": %.1f, "
             "\"batched_shots_per_s\": %.1f, "
+            "\"batched_shots_per_s_q1\": %.1f, "
+            "\"batched_shots_per_s_q3\": %.1f, "
             "\"speedup\": %.2f, "
+            "\"speedup_q1\": %.2f, "
+            "\"speedup_q3\": %.2f, "
             "\"cache_hit_rate\": %.4f, "
             "\"cache_hit_rate_trunc2\": %.4f, "
             "\"component_cache_hit_rate\": %.4f, "
@@ -710,8 +734,10 @@ emitDecodeJson()
             first ? "" : ",\n", decoderKindName(point.decoderKind),
             point.p, point.distance, point.rounds,
             (unsigned long long)point.shots,
-            (unsigned long long)point.seed, scalar_rate,
-            batched_rate, batched_rate / scalar_rate,
+            (unsigned long long)point.seed, kDecodeThreads,
+            kDecodeRuns, scalar_q.median, scalar_q.q1, scalar_q.q3,
+            batched_q.median, batched_q.q1, batched_q.q3,
+            speedup_q.median, speedup_q.q1, speedup_q.q3,
             batched.syndromeCacheHitRate(),
             truncated.syndromeCacheHitRate(),
             components.componentCacheHitRate(),

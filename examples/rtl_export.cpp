@@ -5,13 +5,16 @@
  * stdout, plus a resource summary on stderr.
  *
  *   rtl_export 9 > eraser_d9.sv
- *   rtl_export 9 --multilevel > eraser_m_d9.sv
+ *   rtl_export --distance 9 --multilevel > eraser_m_d9.sv
+ *
+ * The distance must parse whole as an odd integer in [3, 99]; anything
+ * else exits with status 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "cli_flags.h"
 #include "rtl/verilog_gen.h"
 
 using namespace qec;
@@ -24,12 +27,17 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--multilevel") == 0)
             options.multiLevel = true;
+        else if (std::strcmp(argv[i], "--distance") == 0)
+            distance = (int)cli::longFlag(
+                "--distance", i + 1 < argc ? argv[++i] : "", 3, 99);
         else
-            distance = std::atoi(argv[i]);
+            distance = (int)cli::longFlag("distance", argv[i], 3, 99);
     }
-    if (distance < 3 || distance % 2 == 0) {
-        std::fprintf(stderr, "usage: %s <odd distance >= 3>"
-                             " [--multilevel]\n", argv[0]);
+    if (distance % 2 == 0) {
+        std::fprintf(stderr,
+                     "usage: %s [--distance] <odd distance in [3, 99]>"
+                     " [--multilevel]\n",
+                     argv[0]);
         return 2;
     }
 

@@ -184,16 +184,43 @@ struct DecodeWorkspace
     std::vector<std::pair<int, int>> peelAdj;
 
     // ------------------------------------------------------ MWPM state
-    // Per-detector multi-source Dijkstra state, valid iff
-    // mwStamp[d] == epoch.
-    std::vector<uint64_t> mwStamp;
-    std::vector<double> mwDist;
-    std::vector<uint8_t> mwObs;
-    std::vector<uint8_t> mwSettled;
-    /** Owning defect index (nearest defect) per touched detector. */
-    std::vector<int> mwOwner;
-    /** Binary heap storage for the Dijkstra priority queue. */
-    std::vector<std::pair<double, int>> mwHeap;
+    /**
+     * Per-detector multi-source Dijkstra record. `mark` is
+     * 2 * epoch + settled: the record was reached this call iff
+     * mark >= 2 * epoch, and settled this call iff
+     * mark == 2 * epoch + 1, so one compare answers either question
+     * and nothing is cleared between calls. A touch reads and writes
+     * one 24-byte record instead of five parallel arrays.
+     */
+    struct MwNode
+    {
+        double dist;
+        uint64_t mark;
+        int owner;     ///< Owning defect index (nearest defect).
+        uint8_t obs;   ///< Observable parity of the path from owner.
+    };
+    std::vector<MwNode> mwNode;
+
+    /**
+     * Storage of the Dijkstra's exact bucket queue (MwpmDecoder):
+     * bucket k's entries form a chain through `pool` starting at
+     * head[k] (-1 = empty; every head is back at -1 when a search
+     * ends), and `drain` holds the bucket being settled, sorted by
+     * (dist, id).
+     */
+    struct MwBuckets
+    {
+        struct Entry
+        {
+            double dist;
+            int node;
+            int next;   ///< Next entry of the same bucket, -1 ends.
+        };
+        std::vector<int> head;
+        std::vector<Entry> pool;
+        std::vector<std::pair<double, int>> drain;
+    };
+    MwBuckets mwQueue;
 
     /** Candidate defect-defect path (i < j after normalization). */
     struct Cand
@@ -271,14 +298,10 @@ struct DecodeWorkspace
     void
     ensureMwpm(size_t num_detectors)
     {
-        if (mwStamp.size() >= num_detectors)
+        if (mwNode.size() >= num_detectors)
             return;
-        mwStamp.resize(num_detectors, 0);
-        mwDist.resize(num_detectors);
-        mwObs.resize(num_detectors);
-        mwSettled.resize(num_detectors);
-        mwOwner.resize(num_detectors);
-        mwHeap.reserve(num_detectors);
+        mwNode.resize(num_detectors, MwNode{0.0, 0, 0, 0});
+        mwQueue.pool.reserve(num_detectors);
     }
 
     /** Total bytes owned by the workspace (tests pin that this stops
@@ -303,9 +326,10 @@ struct DecodeWorkspace
                bytes(compCursor) + bytes(compMinRow) +
                bytes(compMaxRow) + bytes(compGroup) +
                bytes(compMerged) + bytes(compReach) +
-               bytes(compVerdict) + bytes(mwStamp) + bytes(mwDist) +
-               bytes(mwObs) + bytes(mwSettled) + bytes(mwOwner) +
-               bytes(mwHeap) + bytes(mwCands) + bytes(mwCandHead) +
+               bytes(compVerdict) + bytes(mwNode) +
+               bytes(mwQueue.head) + bytes(mwQueue.pool) +
+               bytes(mwQueue.drain) + bytes(mwCands) +
+               bytes(mwCandHead) +
                bytes(mwEdges) + bytes(mwBDist) + bytes(mwBObs) +
                bytes(mwPartner) + bytes(mwCompParent) +
                bytes(mwCompKeys) + bytes(mwCandByComp) +

@@ -13,13 +13,33 @@
  *     region are represented through that defect's candidates instead
  *     (the local-matching approximation). Every touched node settles
  *     at most once per shot. Candidates are deduplicated as they are
- *     emitted: each defect pair (i, j) keeps only its lexicographically
- *     smallest (w, obs), found through a chain per smaller index, so
- *     only the distinct pairs are sorted. The defect-to-boundary route
- *     is NOT searched per shot: the exact shortest boundary distance
- *     (and its observable parity) is precomputed for every detector id
- *     at construction with one multi-source Dijkstra from the
- *     boundary.
+ *     emitted: each defect pair (i, j) keeps only its
+ *     lexicographically smallest (w, obs), found through a chain per
+ *     smaller index, so only the distinct pairs are sorted.
+ *
+ *     The queue is an exact bucket queue. Bucket k holds tentative
+ *     distances in [k δ, (k+1) δ), where δ = minEdgeW / 128 shrunk by
+ *     a 1e-9 relative margin, and each bucket is sorted by (dist, id)
+ *     just before it is settled. The index floor(dist / δ) is
+ *     monotone in dist, so buckets drain in distance order; every
+ *     relaxation adds at least minEdgeW > δ, so settling bucket k
+ *     pushes only into later buckets. Nodes therefore settle in
+ *     exactly the (dist, id) order a binary heap over (dist, id)
+ *     pairs pops them in, with the same owners, parities and
+ *     candidates. Indices stop at radius / δ (step 2). Where that
+ *     would pass a fixed bucket cap (edge weights orders of magnitude
+ *     apart), δ is coarsened; a push that then lands in the bucket
+ *     being settled is inserted into its sorted remainder, which
+ *     keeps the same order.
+ *
+ *     The defect-to-boundary route is NOT searched per shot: the
+ *     exact shortest boundary distance (and its observable parity) is
+ *     precomputed for every detector id at construction with one
+ *     multi-source Dijkstra from the boundary, through the same
+ *     bucket queue. Its sources start at their boundary-edge weights
+ *     rather than 0, but the argument above only needs every
+ *     relaxation to add at least minEdgeW; distances past the bucket
+ *     cap share the last bucket.
  *  2. Reduce to minimum-weight perfect matching with one virtual
  *     boundary twin per defect (the standard doubling construction).
  *     A candidate (i, j, w) with w > bdist_i + bdist_j is dropped:
@@ -43,9 +63,10 @@
  *     matched-path observable crossings.
  *
  * Adjacency is a flat CSR layout and all per-shot scratch lives in the
- * caller's DecodeWorkspace (epoch-stamped, nothing cleared between
- * shots); steady-state allocations are confined to the blossom
- * solver's internals.
+ * caller's DecodeWorkspace: one epoch-marked record per detector
+ * (distance, owner, parity, reached/settled mark; nothing cleared
+ * between shots) and the bucket queue's storage. Once those have
+ * grown to a shot set's needs, decoding it again allocates nothing.
  */
 
 #ifndef QEC_DECODER_MWPM_DECODER_H

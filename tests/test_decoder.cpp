@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "base/rng.h"
 #include "code/builder.h"
@@ -221,6 +223,22 @@ fnvMix(uint64_t &h, uint64_t v)
     }
 }
 
+/** Fold one decode (verdict, correction count, every matched
+ *  (a, b, obs) element in emission order) into the golden digests. */
+void
+foldDecode(bool flip, const DecodeWorkspace &ws, uint64_t &verdicts,
+           uint64_t &corrections)
+{
+    fnvMix(verdicts, flip);
+    fnvMix(corrections, flip);
+    fnvMix(corrections, ws.corrections.size());
+    for (const auto &c : ws.corrections) {
+        fnvMix(corrections, (uint64_t)(uint32_t)c.a);
+        fnvMix(corrections, (uint64_t)(uint32_t)c.b);
+        fnvMix(corrections, c.obs);
+    }
+}
+
 struct GoldenMwpm
 {
     int d;                      ///< Distance; rounds = 3d, Z basis.
@@ -280,20 +298,135 @@ TEST(MwpmGolden, SampledShotsMatchPinnedDigests)
                 const bool flip = decoder.decodeSparse(
                     syndrome.laneBegin(lane), syndrome.laneSize(lane),
                     ws);
-                fnvMix(verdicts, flip);
-                fnvMix(corrections, flip);
-                fnvMix(corrections, ws.corrections.size());
-                for (const auto &c : ws.corrections) {
-                    fnvMix(corrections, (uint64_t)(uint32_t)c.a);
-                    fnvMix(corrections, (uint64_t)(uint32_t)c.b);
-                    fnvMix(corrections, c.obs);
-                }
+                foldDecode(flip, ws, verdicts, corrections);
             }
         }
         EXPECT_EQ(verdicts, g.verdictDigest)
             << "d=" << g.d << " p=" << g.p;
         EXPECT_EQ(corrections, g.correctionDigest)
             << "d=" << g.d << " p=" << g.p;
+    }
+}
+
+/**
+ * A `layers` x `width` detector grid: space-like edges join
+ * neighbours in a layer, time-like edges join a detector to itself one
+ * layer up, and both ends of every layer have a boundary edge (the
+ * left one flips the observable). `space` / `time` / `bound` give each
+ * family's mechanism counts as {n1, n3, n15}.
+ */
+DetectorModel
+gridModel(int layers, int width, std::array<int, 3> space,
+          std::array<int, 3> time, std::array<int, 3> bound)
+{
+    DetectorModel dem;
+    dem.rounds = layers - 1;
+    dem.stabsPerRound = width;
+    auto add = [&dem](int a, int b, bool obs, std::array<int, 3> n) {
+        DemEdge e;
+        e.a = a;
+        e.b = b;
+        e.obsFlip = obs;
+        e.n1 = n[0];
+        e.n3 = n[1];
+        e.n15 = n[2];
+        dem.edges.push_back(e);
+    };
+    for (int r = 0; r < layers; ++r) {
+        add(dem.detectorId(0, r), kBoundary, true, bound);
+        add(dem.detectorId(width - 1, r), kBoundary, false, bound);
+        for (int s = 0; s + 1 < width; ++s)
+            add(dem.detectorId(s, r), dem.detectorId(s + 1, r), false,
+                space);
+        if (r + 1 < layers) {
+            for (int s = 0; s < width; ++s)
+                add(dem.detectorId(s, r), dem.detectorId(s, r + 1),
+                    false, time);
+        }
+    }
+    return dem;
+}
+
+/** Boundary edges only, with per-detector mechanism counts (and a
+ *  zero-probability detector pair the decoder must skip): no region
+ *  ever grows, every defect matches the boundary. */
+DetectorModel
+boundaryOnlyModel()
+{
+    DetectorModel dem;
+    dem.rounds = 5;
+    dem.stabsPerRound = 8;
+    for (int d = 0; d < dem.numDetectors(); ++d) {
+        DemEdge e;
+        e.a = d;
+        e.obsFlip = d % 3 == 0;
+        e.n1 = 1 + d % 2;
+        e.n3 = d % 4;
+        e.n15 = d % 5;
+        dem.edges.push_back(e);
+    }
+    DemEdge silent;
+    silent.a = 0;
+    silent.b = 1;
+    dem.edges.push_back(silent);
+    return dem;
+}
+
+struct GoldenHandBuilt
+{
+    const char *name;
+    DetectorModel (*model)();
+    double p;                   ///< Physical error rate (weights).
+    double density;             ///< Per-detector defect probability.
+    int shots;
+    uint64_t verdictDigest;
+    uint64_t correctionDigest;
+};
+
+/**
+ * Digests of MWPM decodes of random defect sets on hand-built models
+ * that stress the Dijkstra's queue order: no detector-detector edges
+ * at all, every edge weight equal (every distance ties, so only the
+ * (dist, id) tie order picks owners, pairs and the parities of
+ * boundary routes), and edge weights six
+ * orders of magnitude apart (q = 0.5 clamps to ~4e-6 next to ~3.4).
+ * Recorded from the binary-heap Dijkstra; never re-baseline.
+ */
+const GoldenHandBuilt kGoldenHandBuilt[] = {
+    {"boundary-only", boundaryOnlyModel, 1e-2, 0.2, 400,
+     0xf30b71497441fba4ULL, 0x326cca0ac38ae709ULL},
+    {"uniform-ties",
+     [] { return gridModel(10, 5, {1, 0, 0}, {1, 0, 0}, {1, 0, 0}); },
+     1e-2, 0.06, 600, 0xb776c66173c3c944ULL, 0x4c5fd0b7f110cf1eULL},
+    {"wide-spread",
+     [] { return gridModel(8, 9, {0, 0, 1}, {1, 0, 0}, {0, 0, 1}); },
+     0.5, 0.12, 400, 0x92202b1f666fa045ULL, 0x4ade78af4181f978ULL},
+};
+
+TEST(MwpmGolden, HandBuiltModelsMatchPinnedDigests)
+{
+    for (const GoldenHandBuilt &g : kGoldenHandBuilt) {
+        const DetectorModel dem = g.model();
+        const MwpmDecoder decoder(dem, g.p);
+        DecodeWorkspace ws;
+        ws.recordCorrections = true;
+        uint64_t verdicts = 0xcbf29ce484222325ULL;
+        uint64_t corrections = 0xcbf29ce484222325ULL;
+        std::vector<int> defects;
+        for (int shot = 0; shot < g.shots; ++shot) {
+            Rng rng = Rng::forShot(kGoldenSeed, (uint64_t)shot);
+            defects.clear();
+            for (int d = 0; d < dem.numDetectors(); ++d) {
+                if (rng.bernoulli(g.density))
+                    defects.push_back(d);
+            }
+            ws.corrections.clear();
+            const bool flip = decoder.decodeSparse(
+                defects.data(), defects.size(), ws);
+            foldDecode(flip, ws, verdicts, corrections);
+        }
+        EXPECT_EQ(verdicts, g.verdictDigest) << g.name;
+        EXPECT_EQ(corrections, g.correctionDigest) << g.name;
     }
 }
 

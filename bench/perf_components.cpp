@@ -285,14 +285,16 @@ surfaceModel(const RotatedSurfaceCode &code, int rounds)
 std::vector<std::vector<int>>
 sampleShots(const RotatedSurfaceCode &code, int rounds, int count)
 {
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, rounds, Basis::Z, IrTailKind::SwapLrc);
+    const std::vector<Op> ops = prog.baseOps();
     std::vector<std::vector<int>> shots;
     FrameSimulator sim(code.numQubits(), ErrorModel::standard(1e-3),
                        Rng(3));
     for (int i = 0; i < count; ++i) {
-        sim.run(circuit);
+        sim.run(ops);
         shots.push_back(
-            extractDefects(code, Basis::Z, rounds, sim.record())
+            extractDefects(prog.detectors, rounds, sim.record())
                 .defects);
     }
     return shots;

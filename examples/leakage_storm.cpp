@@ -7,7 +7,8 @@
  * storm, a lattice map showing which qubits are leaked (L) and which
  * the controller scheduled for an LRC (*).
  *
- * This example exercises: RotatedSurfaceCode, FrameSimulator,
+ * This example exercises: RotatedSurfaceCode, a one-lane
+ * BatchFrameSimulator driven op by op through execute(op, mask),
  * QecScheduleGenerator, EraserPolicy and the RoundObservation plumbing
  * — everything the MemoryExperiment harness wires up for you.
  */
@@ -17,7 +18,7 @@
 #include <vector>
 
 #include "core/qsg.h"
-#include "sim/frame_simulator.h"
+#include "sim/batch_frame_simulator.h"
 
 using namespace qec;
 
@@ -25,7 +26,8 @@ namespace
 {
 
 void
-printLattice(const RotatedSurfaceCode &code, const FrameSimulator &sim,
+printLattice(const RotatedSurfaceCode &code,
+             const BatchFrameSimulator &sim,
              const std::vector<LrcPair> &scheduled)
 {
     const int d = code.distance();
@@ -37,9 +39,9 @@ printLattice(const RotatedSurfaceCode &code, const FrameSimulator &sim,
         for (int c = 0; c < d; ++c) {
             const int q = code.dataId(r, c);
             char ch = '.';
-            if (sim.leaked(q) && lrc[q])
+            if (sim.leaked(q, 0) && lrc[q])
                 ch = '#';   // leaked and about to be cleaned
-            else if (sim.leaked(q))
+            else if (sim.leaked(q, 0))
                 ch = 'L';
             else if (lrc[q])
                 ch = '*';   // scheduled (speculation)
@@ -61,7 +63,9 @@ main()
     SwapLookupTable lookup(code);
 
     ErrorModel em = ErrorModel::standard(1e-3);
-    FrameSimulator sim(code.numQubits(), em, Rng(2024));
+    // One shot (lane 0) of seed 2024.
+    BatchFrameSimulator sim(code.numQubits(), em, 1, 2024, 0);
+    const auto lane = sim.liveMask();
     QecScheduleGenerator qsg(code, RemovalProtocol::SwapLrc);
     EraserPolicy policy(code, lookup, /*multi_level=*/false);
 
@@ -82,22 +86,22 @@ main()
             // A cosmic-ray-style burst: leak a 2x2 cluster.
             for (int dr = 2; dr <= 3; ++dr)
                 for (int dc = 2; dc <= 3; ++dc)
-                    sim.setLeaked(code.dataId(dr, dc), true);
+                    sim.setLeaked(code.dataId(dr, dc), true, lane);
             std::printf("round %2d: >>> storm! 4 data qubits leaked"
                         " <<<\n", r);
         }
 
         const size_t mark = sim.record().size();
         RoundSchedule sched = qsg.generate(r, lrcs);
-        sim.executeRange(sched.ops.data(),
-                         sched.ops.data() + sched.ops.size());
+        for (const Op &op : sched.ops)
+            sim.execute(op, lane);
 
         // Syndrome flips -> detection events.
         std::vector<uint8_t> flips(code.numStabilizers(), 0);
         for (size_t i = mark; i < sim.record().size(); ++i) {
             const auto &rec = sim.record()[i];
             if (rec.stab >= 0)
-                flips[rec.stab] = rec.flip ? 1 : 0;
+                flips[rec.stab] = rec.flips & 1;
         }
         for (int s = 0; s < code.numStabilizers(); ++s)
             obs.events[s] = r == 0 ? 0 : (flips[s] ^ prev_flips[s]);
@@ -109,9 +113,9 @@ main()
         obs.round = r;
         lrcs = policy.nextRound(obs);
 
-        const int leaked_data = sim.countLeaked(0, code.numData());
+        const int leaked_data = (int)sim.countLeaked(0, code.numData());
         const int leaked_parity =
-            sim.countLeaked(code.numData(), code.numQubits());
+            (int)sim.countLeaked(code.numData(), code.numQubits());
         std::printf("round %2d: leaked data %2d, parity %2d, LRCs"
                     " next round %2zu  |%s\n",
                     r, leaked_data, leaked_parity, lrcs.size(),

@@ -20,15 +20,13 @@
  *     unbounded round stream.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <vector>
 
-#include "base/rng.h"
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
-#include "decoder/defects.h"
+#include "decoder/sparse_syndrome.h"
 #include "exp/memory_experiment.h"
-#include "sim/frame_simulator.h"
+#include "sim/batch_frame_simulator.h"
 
 using namespace qec;
 
@@ -99,10 +97,10 @@ main()
     // clusters retire continuously. The whole-shot decode input grows
     // linearly with the run; the largest single window decode input
     // does not. This part feeds a single pipeline a raw defect
-    // stream from a static circuit, so it uses the leakage-free
-    // channel: leaked qubits fire their neighbours every round until
-    // an LRC removes them, and LRC scheduling is the policy
-    // harness's job (part one), not the decoder's.
+    // stream sampled from the static (LRC-free) program, so it uses
+    // the leakage-free channel: leaked qubits fire their neighbours
+    // every round until an LRC removes them, and LRC scheduling is
+    // the policy harness's job (part one), not the decoder's.
     const double p_stream = 1e-4;
     std::printf("\npeak decode input vs run length at p = 1e-4 "
                 "(window still %dx%d):\n",
@@ -123,19 +121,27 @@ main()
         BatchDecoder pipeline(*stream_exp.decoder(), options,
                               stream_exp.componentGraph());
 
-        Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
-        FrameSimulator sim(code.numQubits(),
-                           ErrorModel::withoutLeakage(p_stream),
-                           Rng(cfg.seed));
+        // Sample the experiment's own program, LRC slots left empty,
+        // 64 shots per word-group.
+        const CircuitProgram &prog = *stream_exp.program();
+        SparseSyndromeExtractor extractor;
+        BatchSyndrome syndrome;
+        const int shots = 200;
         uint64_t shot_peak = 0;
-        for (int s = 0; s < 200; ++s) {
-            sim.run(circuit);
-            const std::vector<int> defects =
-                extractDefects(code, Basis::Z, rounds, sim.record())
-                    .defects;
-            if (defects.size() > shot_peak)
-                shot_peak = defects.size();
-            pipeline.decodeOne(defects.data(), defects.size());
+        for (int first = 0; first < shots; first += 64) {
+            const int lanes = std::min(64, shots - first);
+            BatchFrameSimulator sim(prog.numQubits,
+                                    ErrorModel::withoutLeakage(p_stream),
+                                    lanes, cfg.seed, (uint64_t)first);
+            sim.executeProgram(prog);
+            extractor.extract(prog.detectors, rounds, sim.record(),
+                              lanes, syndrome);
+            for (int l = 0; l < lanes; ++l) {
+                if (syndrome.laneSize(l) > shot_peak)
+                    shot_peak = syndrome.laneSize(l);
+                pipeline.decodeOne(syndrome.laneBegin(l),
+                                   syndrome.laneSize(l));
+            }
         }
         const BatchDecodeStats &st = pipeline.stats();
         std::printf("  %8d %14llu %14llu %10llu %10llu\n", rounds,

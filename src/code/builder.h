@@ -1,6 +1,8 @@
 /**
  * @file
- * Builders for syndrome extraction rounds and full memory circuits.
+ * Builders for syndrome extraction rounds and the final transversal
+ * readout: the pieces CircuitCompiler lowers into the one memory
+ * circuit, a CircuitProgram (code/circuit_ir.h).
  *
  * A plain round measures every stabilizer with 4 CNOT layers (Fig. 4(a)).
  * A round with an LRC for pair (D, P) appends, after the stabilizer
@@ -83,16 +85,6 @@ std::vector<Op> buildDqlrSegment(const RotatedSurfaceCode &code,
 /** Final transversal data measurement ops for a memory experiment. */
 std::vector<Op> buildFinalMeasurement(const RotatedSurfaceCode &code,
                                       int rounds, Basis basis);
-
-/**
- * Build the complete static (no-LRC) memory circuit: `rounds` plain
- * rounds followed by the final transversal data measurement. This is
- * the circuit the detector error model is derived from; adaptive
- * policies alter rounds at run time but are decoded against this
- * model, matching the paper's leakage-unaware decoder.
- */
-Circuit buildMemoryCircuit(const RotatedSurfaceCode &code, int rounds,
-                           Basis basis);
 
 } // namespace qec
 

@@ -1,7 +1,9 @@
 /**
  * @file
- * Flat circuit intermediate representation executed by the frame
- * simulator and analyzed by the detector-model builder.
+ * Gate-level circuit operations: the op pool of a compiled
+ * CircuitProgram (code/circuit_ir.h), executed by both frame
+ * simulators and, unrolled by CircuitProgram::baseOps(), analyzed by
+ * the detector-model builder.
  *
  * Every noisy location is an explicit Op so that error enumeration can
  * name mechanisms by (op index, Pauli). Rounds are delimited with
@@ -13,8 +15,6 @@
 #define QEC_CODE_CIRCUIT_H
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "code/types.h"
 
@@ -50,30 +50,6 @@ struct Op
     /** True when this measurement is a data qubit read out mid-round on
      *  behalf of an LRC (it still reports stabilizer `stab`). */
     bool lrcData = false;
-};
-
-/** A flat sequence of operations plus layout metadata. */
-struct Circuit
-{
-    std::vector<Op> ops;
-    int numQubits = 0;
-    int numRounds = 0;
-    Basis basis = Basis::Z;
-
-    /** ops index at which each round begins (RoundStart position);
-     *  entry [numRounds] marks the start of final data measurements. */
-    std::vector<size_t> roundBegin;
-
-    size_t size() const { return ops.size(); }
-
-    /** Count ops of one type (used heavily by structural tests). */
-    int countOps(OpType type) const;
-    /** Count two-qubit operations (CNOTs). */
-    int countTwoQubitOps() const;
-    /** Number of measurement ops (records produced by a run). */
-    int countMeasurements() const;
-    /** Human-readable dump for debugging and golden tests. */
-    std::string toString() const;
 };
 
 } // namespace qec

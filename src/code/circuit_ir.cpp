@@ -227,39 +227,34 @@ CircuitProgram::validate() const
     return okStatus();
 }
 
-Circuit
-CircuitProgram::baseCircuit(int rounds_override) const
+std::vector<Op>
+CircuitProgram::baseOps(int rounds_override) const
 {
     const int total = rounds_override < 0 ? rounds : rounds_override;
-    Circuit circuit;
-    circuit.numQubits = numQubits;
-    circuit.numRounds = total;
-    circuit.basis = basis;
+    std::vector<Op> ops;
     for (int r = 0; r < total; ++r) {
-        circuit.roundBegin.push_back(circuit.ops.size());
         for (size_t i = bodyBegin; i < bodyEnd; ++i) {
             const IrInst &inst = instrs[i];
             if (inst.op == IrOpcode::Gate) {
                 Op op = pool[inst.a];
                 if (op.type == OpType::RoundStart)
                     op.round = r;
-                circuit.ops.push_back(op);
+                ops.push_back(op);
             } else if (inst.op == IrOpcode::Readout) {
                 Op meas = pool[inst.b];
                 meas.round = r;
-                circuit.ops.push_back(meas);
-                circuit.ops.push_back(pool[(size_t)inst.b + 1]);
+                ops.push_back(meas);
+                ops.push_back(pool[(size_t)inst.b + 1]);
             }
             // LrcSlot branches are empty in the base circuit.
         }
     }
-    circuit.roundBegin.push_back(circuit.ops.size());
     for (size_t i = bodyEnd + 1; i < instrs.size(); ++i) {
         Op op = pool[instrs[i].a];
         op.round = total;
-        circuit.ops.push_back(op);
+        ops.push_back(op);
     }
-    return circuit;
+    return ops;
 }
 
 CircuitProgram

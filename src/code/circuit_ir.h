@@ -102,9 +102,10 @@ struct IrTailTemplate
     std::vector<Op> ops;
 };
 
-/** The measure→detector/observable binding the extractor reads instead
- *  of lattice-walking the code. Columns index detectors within one
- *  round (detector id = round * cols + column). */
+/** The measure→detector/observable binding: the one detector
+ *  convention, read by the DEM builder and by both syndrome
+ *  extractors. Columns index detectors within one round
+ *  (detector id = round * cols + column). */
 struct IrDetectorMap
 {
     int cols = 0;
@@ -173,13 +174,16 @@ struct CircuitProgram
     /** True when `data` lies in `stab`'s support (valid LRC pairing). */
     bool supportContains(int stab, int data) const;
 
-    /** Reconstruct the LRC-free flat circuit this program replays —
-     *  round bodies restamped per round plus the final transversal
-     *  measurement — for detector-model enumeration. Matches
-     *  buildMemoryCircuit() op-for-op for the surface family. A
-     *  non-negative `rounds_override` rebuilds the same body for a
-     *  different round count (the DEM tiler's short template). */
-    Circuit baseCircuit(int rounds_override = -1) const;
+    /** The LRC-free memory circuit this program replays, unrolled
+     *  into one op stream: the round body stamped per round (its
+     *  RoundStart and Readout measurements carry the round index,
+     *  LrcSlot branches are empty), then the final transversal
+     *  measurement stamped `rounds`. This is the only flat form of
+     *  the circuit: the detector-model builder enumerates it, and
+     *  the scalar FrameSimulator runs it. A non-negative
+     *  `rounds_override` unrolls the same body for a different round
+     *  count (the DEM tiler's short template). */
+    std::vector<Op> baseOps(int rounds_override = -1) const;
 };
 
 /** Lowers protocol descriptions into CircuitPrograms. */

@@ -1,21 +1,20 @@
 #include "decoder/defects.h"
 
 #include "base/logging.h"
-#include "decoder/sparse_syndrome.h"
 
 namespace qec
 {
 
 ShotOutcome
-extractDefects(const RotatedSurfaceCode &code, Basis basis, int rounds,
+extractDefects(const IrDetectorMap &map, int rounds,
                const std::vector<MeasureRecord> &record)
 {
-    const StabType type = protectingStabType(basis);
-    const int n_s = code.numBasisStabilizers(basis);
+    const int n_s = map.cols;
 
-    // m[s][r] flips for protected-basis stabilizers; final data flips.
+    // m[round][column] flips of detector-producing stabilizers; final
+    // data flips.
     std::vector<uint8_t> mflip((size_t)n_s * rounds, 0);
-    std::vector<uint8_t> data_flip(code.numData(), 0);
+    std::vector<uint8_t> data_flip(map.numData, 0);
 
     for (const auto &rec : record) {
         if (rec.finalData) {
@@ -24,13 +23,12 @@ extractDefects(const RotatedSurfaceCode &code, Basis basis, int rounds,
         }
         if (rec.stab < 0)
             continue;
-        const auto &stab = code.stabilizer(rec.stab);
-        if (stab.type != type)
+        const int col = map.stabColumn[rec.stab];
+        if (col < 0)
             continue;
         panicIf(rec.round < 0 || rec.round >= rounds,
                 "measurement round out of range");
-        mflip[(size_t)rec.round * n_s + stab.basisIndex] ^=
-            rec.flip ? 1 : 0;
+        mflip[(size_t)rec.round * n_s + col] ^= rec.flip ? 1 : 0;
     }
 
     ShotOutcome out;
@@ -42,40 +40,17 @@ extractDefects(const RotatedSurfaceCode &code, Basis basis, int rounds,
                 out.defects.push_back(r * n_s + s);
             prev = cur;
         }
-        // Final row: reconstruct the stabilizer from data measurements.
-        const int stab_index = code.basisStabilizers(basis)[s];
+        // Final row: reconstruct the column from data measurements.
         uint8_t recon = 0;
-        for (int q : code.stabilizer(stab_index).support)
-            recon ^= data_flip[q];
+        for (int k = map.colSupportOffset[s];
+             k < map.colSupportOffset[(size_t)s + 1]; ++k)
+            recon ^= data_flip[map.colSupportData[k]];
         if (recon ^ prev)
             out.defects.push_back(rounds * n_s + s);
     }
 
-    for (int q : code.logicalSupport(basis))
+    for (int q : map.observable)
         out.observableFlip ^= (data_flip[q] != 0);
-    return out;
-}
-
-std::vector<ShotOutcome>
-extractDefectsBatched(const RotatedSurfaceCode &code, Basis basis,
-                      int rounds,
-                      const std::vector<BatchMeasureRecord> &record,
-                      int num_lanes)
-{
-    // Materialized per-lane view of the flat sparse extraction; hot
-    // paths consume the BatchSyndrome directly instead.
-    SparseSyndromeExtractor extractor;
-    BatchSyndrome syndrome;
-    extractor.extract(code, basis, rounds, record, num_lanes,
-                      syndrome);
-
-    std::vector<ShotOutcome> out(num_lanes);
-    for (int l = 0; l < num_lanes; ++l) {
-        out[l].defects.assign(syndrome.laneBegin(l),
-                              syndrome.laneBegin(l) +
-                                  syndrome.laneSize(l));
-        out[l].observableFlip = syndrome.laneObservable(l);
-    }
     return out;
 }
 

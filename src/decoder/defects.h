@@ -1,9 +1,10 @@
 /**
  * @file
- * Converts a shot's measurement record into decoder inputs: the list
- * of fired detectors (defects) and the true logical-observable flip.
- * Shared by the experiment runner and the DEM tests so both sides use
- * the same detector convention.
+ * Converts one shot's scalar measurement record into decoder inputs:
+ * the list of fired detectors (defects) and the true logical-observable
+ * flip. Detector ids come from the compiled program's IrDetectorMap —
+ * the one convention the DEM builder and the batched
+ * SparseSyndromeExtractor also read — so every side agrees on it.
  */
 
 #ifndef QEC_DECODER_DEFECTS_H
@@ -11,9 +12,7 @@
 
 #include <vector>
 
-#include "code/rotated_surface_code.h"
-#include "code/types.h"
-#include "sim/batch_frame_simulator.h"
+#include "code/circuit_ir.h"
 #include "sim/frame_simulator.h"
 
 namespace qec
@@ -33,29 +32,13 @@ struct ShotOutcome
 /**
  * Extract defects from a full measurement record.
  *
- * @param code    Code lattice.
- * @param basis   Memory basis (decides which stabilizers are decoded).
+ * @param map     The program's measure→detector/observable map.
  * @param rounds  Number of syndrome extraction rounds R.
  * @param record  All measurement records of the shot, including the
  *                final transversal data measurement.
  */
-ShotOutcome extractDefects(const RotatedSurfaceCode &code, Basis basis,
-                           int rounds,
+ShotOutcome extractDefects(const IrDetectorMap &map, int rounds,
                            const std::vector<MeasureRecord> &record);
-
-/**
- * Extract every lane's defects from a batched measurement record in
- * one pass: flips are accumulated as words (64 lanes per XOR) and only
- * the final defect lists are materialized per lane.
- *
- * @param num_lanes Live lanes in the record's word-group; one
- *                  ShotOutcome is returned per lane, in lane order.
- */
-std::vector<ShotOutcome>
-extractDefectsBatched(const RotatedSurfaceCode &code, Basis basis,
-                      int rounds,
-                      const std::vector<BatchMeasureRecord> &record,
-                      int num_lanes);
 
 } // namespace qec
 

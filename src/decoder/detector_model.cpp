@@ -125,9 +125,12 @@ frameBits(Pauli p)
 }
 
 /**
- * Enumerates all Pauli mechanisms of a base memory circuit and
- * produces their detector signatures with one backward
- * detector-sensitivity sweep (Stim's error-analyzer technique).
+ * Enumerates all Pauli mechanisms of a program's base op stream,
+ * CircuitProgram::baseOps (the tiled build unrolls a short template,
+ * the direct build all rounds), and produces their detector
+ * signatures, routed through the program's IrDetectorMap, with one
+ * backward detector-sensitivity sweep (Stim's error-analyzer
+ * technique).
  *
  * Walking the ops in reverse, each qubit carries two sensitivity sets:
  * the detectors (and observable) an X frame on it would flip from that
@@ -140,11 +143,11 @@ frameBits(Pauli p)
 class Enumerator
 {
   public:
-    /** `circuit` is `prog`'s base circuit at `rounds` rounds. */
-    Enumerator(const CircuitProgram &prog, Circuit circuit, int rounds)
+    /** Enumerates `prog`'s base op stream unrolled to `rounds`. */
+    Enumerator(const CircuitProgram &prog, int rounds)
         : map_(prog.detectors), numQubits_(prog.numQubits),
           rounds_(rounds), nS_(prog.detectors.cols),
-          circuit_(std::move(circuit)), dataColumns_(prog.numData),
+          ops_(prog.baseOps(rounds)), dataColumns_(prog.numData),
           dataObs_(prog.numData, 0)
     {
         for (int col = 0; col < nS_; ++col) {
@@ -169,7 +172,7 @@ class Enumerator
         // Op k's sets follow those of every later op in the arena.
         size_t next_set = setEnd_.size();
         int round = -1;
-        for (const Op &op : circuit_.ops) {
+        for (const Op &op : ops_) {
             next_set -= operandSets(op);
             switch (op.type) {
               case OpType::RoundStart:
@@ -230,7 +233,7 @@ class Enumerator
         std::vector<Signature> x(numQubits_);
         std::vector<Signature> z(numQubits_);
         size_t sets = 0;
-        for (const Op &op : circuit_.ops)
+        for (const Op &op : ops_)
             sets += operandSets(op);
         setEnd_.reserve(sets);
         setObs_.reserve(sets);
@@ -244,7 +247,7 @@ class Enumerator
                     src.dets.data() + src.dets.size(), src.obs,
                     scratch_);
         };
-        for (auto it = circuit_.ops.rbegin(); it != circuit_.ops.rend();
+        for (auto it = ops_.rbegin(); it != ops_.rend();
              ++it) {
             const Op &op = *it;
             const int q = op.q0;
@@ -322,7 +325,7 @@ class Enumerator
     int numQubits_;
     int rounds_;
     int nS_;
-    Circuit circuit_;
+    std::vector<Op> ops_;
     /** Per data qubit: detector columns its final readout toggles. */
     std::vector<std::vector<int>> dataColumns_;
     /** Per data qubit: whether its final readout flips the logical. */
@@ -499,8 +502,8 @@ buildModelTiled(const CircuitProgram &prog)
     model.basis = prog.basis;
     model.stabsPerRound = n_s;
 
-    // Collect per-group signature lists from the short circuit.
-    Enumerator enumerator(prog, prog.baseCircuit(r0), r0);
+    // Collect per-group signature lists from the short template.
+    Enumerator enumerator(prog, r0);
     ModelAssembler assembler;
 
     auto shift_sig = [&](const Signature &sig, int dr) {
@@ -544,7 +547,7 @@ buildDetectorModelDirect(const CircuitProgram &prog)
     model.basis = prog.basis;
     model.stabsPerRound = prog.detectors.cols;
 
-    Enumerator enumerator(prog, prog.baseCircuit(), prog.rounds);
+    Enumerator enumerator(prog, prog.rounds);
     ModelAssembler assembler;
     enumerator.forEachMechanism(
         [&](int, ProbClass cls, const Signature &sig) {

@@ -11,10 +11,12 @@
  * transversal data measurement, and s ranges over stabilizers of the
  * type protecting the memory basis.
  *
- * The builder enumerates every Pauli-noise mechanism of the base
- * (no-LRC) circuit of a compiled program and records which detectors
- * (and whether the logical observable) flip. One backward
- * detector-sensitivity sweep over the circuit yields every signature:
+ * The builder enumerates every Pauli-noise mechanism of a compiled
+ * program's base (no-LRC) op stream, CircuitProgram::baseOps, and
+ * records which detectors (and whether the logical observable) flip;
+ * detector ids come from the program's IrDetectorMap, the same map the
+ * syndrome extractors read. One backward detector-sensitivity sweep
+ * over the op stream yields every signature:
  * walking the ops in reverse, each qubit carries the detectors an X or
  * a Z frame on it would flip from that point on, and a fault's
  * signature is the XOR of its components' sets at its location.
@@ -96,7 +98,7 @@ struct DetectorModel
 /**
  * Build the DEM of a compiled circuit program from its own
  * measure→detector/observable map (no lattice walking): the sweep runs
- * over the program's base circuit and routes outcome flips through
+ * over the program's baseOps() and routes outcome flips through
  * `prog.detectors`. Uses direct enumeration for short experiments and
  * time-translation tiling for long ones (identical edge sets).
  */

@@ -31,8 +31,6 @@
 
 #include "base/simd_word.h"
 #include "code/circuit_ir.h"
-#include "code/rotated_surface_code.h"
-#include "code/types.h"
 #include "sim/batch_frame_simulator.h"
 
 namespace qec
@@ -91,23 +89,14 @@ class SparseSyndromeExtractor
   public:
     /**
      * Extract every lane's sparse syndrome from a batched measurement
-     * record (including the final transversal data measurement).
-     * Reuses `out`'s buffers.
-     */
-    template <int NW>
-    void extract(const RotatedSurfaceCode &code, Basis basis,
-                 int rounds,
-                 const std::vector<BatchMeasureRecordT<NW>> &record,
-                 int num_lanes, BatchSyndrome &out);
-
-    /**
-     * As above, but routed through a compiled program's
-     * measure→detector/observable map instead of walking the lattice:
-     * record stabilizer ids select detector columns via
+     * record (including the final transversal data measurement),
+     * routed through a compiled program's measure→detector/observable
+     * map: record stabilizer ids select detector columns via
      * `map.stabColumn`, the final detector row is reconstructed from
      * the column-support CSR, and the observable is the XOR of
-     * `map.observable`'s final readouts. For surface-memory programs
-     * this emits bit-identical syndromes to the code-based overload.
+     * `map.observable`'s final readouts. Each lane's defects match
+     * the scalar extractDefects on that lane's records. Reuses
+     * `out`'s buffers.
      */
     template <int NW>
     void extract(const IrDetectorMap &map, int rounds,
@@ -120,16 +109,6 @@ class SparseSyndromeExtractor
     std::vector<uint64_t> dataFlip_;  ///< [data qubit][word] finals.
     std::vector<uint64_t> events_;    ///< [stab*(rounds+1)][word].
 };
-
-extern template void SparseSyndromeExtractor::extract<1>(
-    const RotatedSurfaceCode &, Basis, int,
-    const std::vector<BatchMeasureRecordT<1>> &, int, BatchSyndrome &);
-extern template void SparseSyndromeExtractor::extract<4>(
-    const RotatedSurfaceCode &, Basis, int,
-    const std::vector<BatchMeasureRecordT<4>> &, int, BatchSyndrome &);
-extern template void SparseSyndromeExtractor::extract<8>(
-    const RotatedSurfaceCode &, Basis, int,
-    const std::vector<BatchMeasureRecordT<8>> &, int, BatchSyndrome &);
 
 extern template void SparseSyndromeExtractor::extract<1>(
     const IrDetectorMap &, int,

@@ -263,15 +263,18 @@ FrameSimulator::executeRange(const Op *begin, const Op *end)
 }
 
 void
-FrameSimulator::run(const Circuit &circuit)
+FrameSimulator::run(const std::vector<Op> &ops)
 {
-    panicIf(circuit.numQubits > numQubits(),
-            "circuit uses more qubits than the simulator holds");
+    size_t measurements = 0;
+    for (const Op &op : ops) {
+        panicIf(op.q0 >= numQubits() || op.q1 >= numQubits(),
+                "op uses more qubits than the simulator holds");
+        measurements += op.type == OpType::Measure ||
+                        op.type == OpType::MeasureX;
+    }
     reset();
-    record_.reserve(circuit.countMeasurements());
-    if (!circuit.ops.empty())
-        executeRange(circuit.ops.data(),
-                     circuit.ops.data() + circuit.ops.size());
+    record_.reserve(measurements);
+    executeRange(ops.data(), ops.data() + ops.size());
 }
 
 } // namespace qec

@@ -23,6 +23,7 @@
 #ifndef QEC_SIM_FRAME_SIMULATOR_H
 #define QEC_SIM_FRAME_SIMULATOR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -64,8 +65,9 @@ class FrameSimulator
     /** Execute a span of operations. */
     void executeRange(const Op *begin, const Op *end);
 
-    /** Execute a whole circuit from a clean state. */
-    void run(const Circuit &circuit);
+    /** Execute a whole op stream (e.g. CircuitProgram::baseOps())
+     *  from a clean state. */
+    void run(const std::vector<Op> &ops);
 
     /** Measurement record accumulated so far. */
     const std::vector<MeasureRecord> & record() const { return record_; }

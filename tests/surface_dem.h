@@ -1,15 +1,18 @@
 /**
  * @file
- * Test helpers: detector error models of rotated-surface-code memory,
- * built from the compiled program exactly as the library's own
- * callers build them, and an order-sensitive model digest for golden
- * pins.
+ * Test helpers: the compiled rotated-surface-code memory program, its
+ * detector error model (built exactly as the library's own callers
+ * build it), an order-sensitive model digest for golden pins, and a
+ * round locator for fault injection into the program's baseOps().
  */
 
 #ifndef QEC_TESTS_SURFACE_DEM_H
 #define QEC_TESTS_SURFACE_DEM_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "code/circuit_ir.h"
 #include "decoder/detector_model.h"
@@ -17,20 +20,39 @@
 namespace qec
 {
 
+/** The surface-memory program (SWAP-LRC tail) the experiment runs. */
+inline CircuitProgram
+surfaceProgram(const RotatedSurfaceCode &code, int rounds, Basis basis)
+{
+    return CircuitCompiler::surfaceMemory(code, rounds, basis,
+                                          IrTailKind::SwapLrc);
+}
+
 /** The DEM every decoder of this experiment is built from. */
 inline DetectorModel
 surfaceDem(const RotatedSurfaceCode &code, int rounds, Basis basis)
 {
-    return buildDetectorModel(CircuitCompiler::surfaceMemory(
-        code, rounds, basis, IrTailKind::SwapLrc));
+    return buildDetectorModel(surfaceProgram(code, rounds, basis));
 }
 
 /** Direct (non-tiled) enumeration of the same model. */
 inline DetectorModel
 surfaceDemDirect(const RotatedSurfaceCode &code, int rounds, Basis basis)
 {
-    return buildDetectorModelDirect(CircuitCompiler::surfaceMemory(
-        code, rounds, basis, IrTailKind::SwapLrc));
+    return buildDetectorModelDirect(surfaceProgram(code, rounds, basis));
+}
+
+/** Index of the RoundStart op that opens `round` in a baseOps()
+ *  stream (ops.size() when the stream has no such round). */
+inline size_t
+roundStart(const std::vector<Op> &ops, int round)
+{
+    return std::find_if(ops.begin(), ops.end(),
+                        [round](const Op &op) {
+                            return op.type == OpType::RoundStart &&
+                                   op.round == round;
+                        }) -
+           ops.begin();
 }
 
 /**

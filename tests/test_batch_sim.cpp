@@ -21,7 +21,8 @@
 #include <cmath>
 #include <string>
 
-#include "decoder/defects.h"
+#include "code/circuit_ir.h"
+#include "decoder/sparse_syndrome.h"
 #include "exp/memory_experiment.h"
 #include "sim/batch_frame_simulator.h"
 #include "sim/bit_mask_sampler.h"
@@ -277,20 +278,21 @@ TEST(BatchSim, MultiLevelLabelsFlagLeakedLanes)
 TEST(BatchSim, NoiselessMemoryCircuitIsDeterministicAtW64)
 {
     RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, 4, Basis::Z);
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, 4, Basis::Z, IrTailKind::SwapLrc);
+    const std::vector<Op> ops = prog.baseOps();
     BatchFrameSimulator sim(code.numQubits(),
                             ErrorModel::noiseless(), 64, 99, 0);
-    sim.executeRange(circuit.ops.data(),
-                     circuit.ops.data() + circuit.ops.size());
+    sim.executeRange(ops.data(), ops.data() + ops.size());
     for (const auto &rec : sim.record())
         ASSERT_EQ(rec.flips, 0u);
-    auto outcomes =
-        extractDefectsBatched(code, Basis::Z, 4, sim.record(), 64);
-    ASSERT_EQ(outcomes.size(), 64u);
-    for (const auto &outcome : outcomes) {
-        EXPECT_TRUE(outcome.defects.empty());
-        EXPECT_FALSE(outcome.observableFlip);
-    }
+    SparseSyndromeExtractor extractor;
+    BatchSyndrome syndrome;
+    extractor.extract(prog.detectors, 4, sim.record(), 64, syndrome);
+    ASSERT_EQ(syndrome.numLanes, 64);
+    EXPECT_TRUE(syndrome.defects.empty());
+    EXPECT_EQ(syndrome.nonzeroWords[0], 0u);
+    EXPECT_EQ(syndrome.observableWords[0], 0u);
 }
 
 // ------------------------------------------------------ golden runs
@@ -755,18 +757,19 @@ TEST(BatchDifferential, WideWidthsMatchWidth64OnMemoryX)
 TEST(BatchSim, WideEngineMatchesBlockwise64LaneEngines)
 {
     RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, 5, Basis::Z);
+    const std::vector<Op> ops =
+        CircuitCompiler::surfaceMemory(code, 5, Basis::Z,
+                                       IrTailKind::SwapLrc)
+            .baseOps();
     ErrorModel em = ErrorModel::standard(4e-3);
 
     BatchFrameSimulatorT<4> wide(code.numQubits(), em, 256, 321, 0);
-    wide.executeRange(circuit.ops.data(),
-                      circuit.ops.data() + circuit.ops.size());
+    wide.executeRange(ops.data(), ops.data() + ops.size());
 
     for (int b = 0; b < 4; ++b) {
         BatchFrameSimulator narrow(code.numQubits(), em, 64, 321,
                                    64 * (uint64_t)b);
-        narrow.executeRange(circuit.ops.data(),
-                            circuit.ops.data() + circuit.ops.size());
+        narrow.executeRange(ops.data(), ops.data() + ops.size());
         ASSERT_EQ(wide.record().size(), narrow.record().size());
         for (size_t i = 0; i < narrow.record().size(); ++i) {
             const auto &w = wide.record()[i];
@@ -796,7 +799,10 @@ TEST(BatchSim, WideEngineMatchesBlockwise64LaneEngines)
 TEST(BatchSim, RaggedGroupKeepsDeadLanesSilent)
 {
     RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, 6, Basis::Z);
+    const std::vector<Op> ops =
+        CircuitCompiler::surfaceMemory(code, 6, Basis::Z,
+                                       IrTailKind::SwapLrc)
+            .baseOps();
     ErrorModel em = ErrorModel::standard(8e-3);
     BatchFrameSimulatorT<4> sim(code.numQubits(), em, 100, 13, 0);
     const WordVec<4> live = sim.liveMask();
@@ -804,8 +810,7 @@ TEST(BatchSim, RaggedGroupKeepsDeadLanesSilent)
     ASSERT_EQ(laneWord(live, 1), laneMask64(36));
     ASSERT_EQ(laneWord(live, 2), 0u);
 
-    sim.executeRange(circuit.ops.data(),
-                     circuit.ops.data() + circuit.ops.size());
+    sim.executeRange(ops.data(), ops.data() + ops.size());
     // Force the leakage-divergent op paths on a masked lane subset
     // too (the experiment layer's divergent-LRC-tail shape).
     WordVec<4> half{};

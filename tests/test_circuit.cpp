@@ -2,7 +2,8 @@
  * @file
  * Circuit-builder tests: the op structure of plain rounds, the paper's
  * LRC cost accounting (4 -> 9 two-qubit ops per stabilizer, Fig. 1(b)
- * and Section 3.1.2), DQLR segments, and assignment validation.
+ * and Section 3.1.2), DQLR segments, assignment validation, and the
+ * shape of the compiled programs' unrolled base op streams.
  */
 
 #include <gtest/gtest.h>
@@ -10,12 +11,29 @@
 #include <set>
 
 #include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "code/rotated_surface_code.h"
 
 namespace qec
 {
 namespace
 {
+
+int
+countOps(const std::vector<Op> &ops, OpType type)
+{
+    int n = 0;
+    for (const auto &op : ops)
+        n += op.type == type ? 1 : 0;
+    return n;
+}
+
+int
+countTwoQubitOps(const std::vector<Op> &ops)
+{
+    return countOps(ops, OpType::Cnot) +
+           countOps(ops, OpType::LeakageIswap);
+}
 
 int
 countCnotsTouching(const std::vector<Op> &ops, int qubit)
@@ -39,19 +57,18 @@ TEST_P(RoundSweep, PlainRoundOpCounts)
 {
     const int d = GetParam();
     RoundSchedule round = buildRoundSchedule(code_, 0, {});
+    const std::vector<Op> &ops = round.ops;
 
-    Circuit c;
-    c.ops = round.ops;
-    EXPECT_EQ(c.countOps(OpType::DataNoise), d * d);
+    EXPECT_EQ(countOps(ops, OpType::DataNoise), d * d);
     // One H before and one after the CNOT layers per X stabilizer.
-    EXPECT_EQ(c.countOps(OpType::H), 2 * code_.numXStabilizers());
+    EXPECT_EQ(countOps(ops, OpType::H), 2 * code_.numXStabilizers());
     // One CNOT per (stabilizer, support qubit).
     int expected_cnots = 0;
     for (const auto &stab : code_.stabilizers())
         expected_cnots += (int)stab.support.size();
-    EXPECT_EQ(c.countOps(OpType::Cnot), expected_cnots);
-    EXPECT_EQ(c.countOps(OpType::Measure), code_.numStabilizers());
-    EXPECT_EQ(c.countOps(OpType::Reset), code_.numStabilizers());
+    EXPECT_EQ(countOps(ops, OpType::Cnot), expected_cnots);
+    EXPECT_EQ(countOps(ops, OpType::Measure), code_.numStabilizers());
+    EXPECT_EQ(countOps(ops, OpType::Reset), code_.numStabilizers());
     EXPECT_TRUE(round.lrcs.empty());
 }
 
@@ -77,11 +94,8 @@ TEST_P(RoundSweep, LrcAddsFiveTwoQubitOps)
     const int stab = code_.stabilizersOfData(0).front();
     RoundSchedule with_lrc = buildRoundSchedule(code_, 0, {{0, stab}});
 
-    Circuit a;
-    a.ops = plain.ops;
-    Circuit b;
-    b.ops = with_lrc.ops;
-    EXPECT_EQ(b.countTwoQubitOps(), a.countTwoQubitOps() + 5);
+    EXPECT_EQ(countTwoQubitOps(with_lrc.ops),
+              countTwoQubitOps(plain.ops) + 5);
     ASSERT_EQ(with_lrc.lrcs.size(), 1u);
 }
 
@@ -213,33 +227,75 @@ TEST(Builder, RejectsNonAdjacentPair)
     EXPECT_DEATH({ buildRoundSchedule(code, 0, {{0, far_stab}}); }, "");
 }
 
+/** The memory programs of both compiler families at `rounds` rounds. */
+std::vector<CircuitProgram>
+memoryPrograms(const RotatedSurfaceCode &code, int rounds, Basis basis)
+{
+    std::vector<CircuitProgram> progs = {CircuitCompiler::surfaceMemory(
+        code, rounds, basis, IrTailKind::SwapLrc)};
+    if (basis == Basis::Z) {
+        progs.push_back(
+            CircuitCompiler::repetitionMemory(code.distance(), rounds));
+    }
+    return progs;
+}
+
 TEST(Builder, MemoryCircuitShape)
 {
     RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, 5, Basis::Z);
-    EXPECT_EQ(circuit.numRounds, 5);
-    EXPECT_EQ(circuit.numQubits, code.numQubits());
-    EXPECT_EQ((int)circuit.roundBegin.size(), 6);
-    EXPECT_EQ(circuit.countOps(OpType::RoundStart), 5);
-    // Final transversal measurement: one per data qubit.
-    int finals = 0;
-    for (const auto &op : circuit.ops)
-        finals += (op.finalData ? 1 : 0);
-    EXPECT_EQ(finals, code.numData());
+    for (const CircuitProgram &prog : memoryPrograms(code, 5, Basis::Z)) {
+        SCOPED_TRACE(circuitFamilyName(prog.family));
+        for (int rounds : {5, 2}) {
+            const std::vector<Op> ops =
+                prog.baseOps(rounds == prog.rounds ? -1 : rounds);
+            // One RoundStart per round, stamped in order; no LRC
+            // branch is taken in the base circuit.
+            int next_round = 0;
+            for (const auto &op : ops) {
+                EXPECT_FALSE(op.lrcData);
+                if (op.type != OpType::RoundStart)
+                    continue;
+                EXPECT_EQ(op.round, next_round);
+                ++next_round;
+            }
+            EXPECT_EQ(next_round, rounds);
+            EXPECT_EQ(countOps(ops, OpType::LeakageIswap), 0);
+            // Every stabilizer measured once per round, then one
+            // final transversal measurement per data qubit, stamped
+            // `rounds`, closing the stream.
+            int finals = 0;
+            for (size_t k = 0; k < ops.size(); ++k) {
+                if (!ops[k].finalData)
+                    continue;
+                EXPECT_GE(k, ops.size() - prog.numData);
+                EXPECT_EQ(ops[k].round, rounds);
+                ++finals;
+            }
+            EXPECT_EQ(finals, prog.numData);
+            EXPECT_EQ(countOps(ops, OpType::Measure) - finals,
+                      rounds * prog.numStabs);
+        }
+    }
 }
 
 TEST(Builder, MemoryXUsesXBasisFinals)
 {
     RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, 2, Basis::X);
-    int mx = 0;
-    for (const auto &op : circuit.ops) {
-        if (op.finalData) {
-            EXPECT_EQ(op.type, OpType::MeasureX);
-            ++mx;
+    for (Basis basis : {Basis::Z, Basis::X}) {
+        for (const CircuitProgram &prog :
+             memoryPrograms(code, 2, basis)) {
+            const OpType want =
+                basis == Basis::X ? OpType::MeasureX : OpType::Measure;
+            int finals = 0;
+            for (const auto &op : prog.baseOps()) {
+                if (op.finalData) {
+                    EXPECT_EQ(op.type, want);
+                    ++finals;
+                }
+            }
+            EXPECT_EQ(finals, prog.numData);
         }
     }
-    EXPECT_EQ(mx, code.numData());
 }
 
 TEST(Builder, DqlrSegmentShape)
@@ -253,16 +309,6 @@ TEST(Builder, DqlrSegmentShape)
     EXPECT_EQ(ops[0].q1, code.stabilizer(stab).ancilla);
     EXPECT_EQ(ops[1].type, OpType::Reset);
     EXPECT_EQ(ops[1].q0, code.stabilizer(stab).ancilla);
-}
-
-TEST(Builder, CircuitToStringMentionsOps)
-{
-    RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, 1, Basis::Z);
-    const std::string dump = circuit.toString();
-    EXPECT_NE(dump.find("ROUND 0"), std::string::npos);
-    EXPECT_NE(dump.find("CX"), std::string::npos);
-    EXPECT_NE(dump.find("final"), std::string::npos);
 }
 
 } // namespace

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/batch_decoder.h"
 #include "decoder/component_decoder.h"
@@ -99,19 +98,20 @@ namespace qec
 namespace
 {
 
-/** Sample realistic defect sets from a memory circuit. */
+/** Sample realistic defect sets from the memory program's base ops. */
 std::vector<std::vector<int>>
 sampleDefectSets(const RotatedSurfaceCode &code, int rounds, int count,
                  double p, uint64_t seed)
 {
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
     FrameSimulator sim(code.numQubits(), ErrorModel::standard(p),
                        Rng(seed));
     std::vector<std::vector<int>> shots;
     for (int i = 0; i < count; ++i) {
-        sim.run(circuit);
+        sim.run(ops);
         shots.push_back(
-            extractDefects(code, Basis::Z, rounds, sim.record())
+            extractDefects(prog.detectors, rounds, sim.record())
                 .defects);
     }
     return shots;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "code/builder.h"
 #include "code/circuit_ir.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/decode_workspace.h"
@@ -30,7 +29,7 @@ namespace qec
 namespace
 {
 
-/** All Pauli-injection sites of a circuit: (op index, [(q, P)...]). */
+/** All Pauli-injection sites of an op stream: (op index, [(q, P)...]). */
 struct Fault
 {
     size_t opIndex;
@@ -38,11 +37,11 @@ struct Fault
 };
 
 std::vector<Fault>
-enumerateFaults(const Circuit &circuit, bool all_two_qubit)
+enumerateFaults(const std::vector<Op> &ops, bool all_two_qubit)
 {
     std::vector<Fault> faults;
-    for (size_t k = 0; k < circuit.ops.size(); ++k) {
-        const Op &op = circuit.ops[k];
+    for (size_t k = 0; k < ops.size(); ++k) {
+        const Op &op = ops[k];
         switch (op.type) {
           case OpType::DataNoise:
           case OpType::H:
@@ -74,27 +73,27 @@ enumerateFaults(const Circuit &circuit, bool all_two_qubit)
     return faults;
 }
 
-/** Run the circuit noiselessly with the given faults injected. */
+/** Run the program's base op stream `ops` noiselessly with the given
+ *  faults injected. */
 ShotOutcome
-runWithFaults(const RotatedSurfaceCode &code, const Circuit &circuit,
+runWithFaults(const CircuitProgram &prog, const std::vector<Op> &ops,
               const std::vector<Fault> &faults)
 {
-    FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
-                       Rng(3));
+    FrameSimulator sim(prog.numQubits, ErrorModel::noiseless(), Rng(3));
     sim.reset();
-    const Op *ops = circuit.ops.data();
     size_t cursor = 0;
     // Faults must be sorted by opIndex.
     for (const auto &fault : faults) {
-        sim.executeRange(ops + cursor, ops + fault.opIndex + 1);
+        sim.executeRange(ops.data() + cursor,
+                         ops.data() + fault.opIndex + 1);
         cursor = fault.opIndex + 1;
         for (const auto &[q, p] : fault.paulis)
             sim.injectPauli(q, p);
     }
-    sim.executeRange(ops + cursor, ops + circuit.ops.size());
-    return extractDefects(code, circuit.basis, circuit.numRounds,
-                          sim.record());
+    sim.executeRange(ops.data() + cursor, ops.data() + ops.size());
+    return extractDefects(prog.detectors, prog.rounds, sim.record());
 }
+
 
 class SingleFaultSweep
     : public ::testing::TestWithParam<std::tuple<int, Basis>>
@@ -105,14 +104,15 @@ TEST_P(SingleFaultSweep, EverySingleFaultCorrected)
 {
     const auto [rounds, basis] = GetParam();
     RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, rounds, basis);
+    const CircuitProgram prog = surfaceProgram(code, rounds, basis);
+    const std::vector<Op> ops = prog.baseOps();
     DetectorModel dem = surfaceDem(code, rounds, basis);
     MwpmDecoder decoder(dem, 1e-3);
 
-    auto faults = enumerateFaults(circuit, true);
+    auto faults = enumerateFaults(ops, true);
     int checked = 0;
     for (const auto &fault : faults) {
-        ShotOutcome outcome = runWithFaults(code, circuit, {fault});
+        ShotOutcome outcome = runWithFaults(prog, ops, {fault});
         const bool predicted = decoder.decode(outcome.defects);
         ASSERT_EQ(predicted, outcome.observableFlip)
             << "fault at op " << fault.opIndex;
@@ -131,11 +131,12 @@ TEST(Decoder, SampledDoubleFaultsCorrectedAtD5)
     // Distance 5 tolerates any two faults. Sample pairs.
     RotatedSurfaceCode code(5);
     const int rounds = 3;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
     DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
 
-    auto faults = enumerateFaults(circuit, false);
+    auto faults = enumerateFaults(ops, false);
     Rng rng(17);
     for (int trial = 0; trial < 400; ++trial) {
         size_t i = rng.randint((uint32_t)faults.size());
@@ -143,7 +144,7 @@ TEST(Decoder, SampledDoubleFaultsCorrectedAtD5)
         if (faults[i].opIndex > faults[j].opIndex)
             std::swap(i, j);
         ShotOutcome outcome =
-            runWithFaults(code, circuit, {faults[i], faults[j]});
+            runWithFaults(prog, ops, {faults[i], faults[j]});
         const bool predicted = decoder.decode(outcome.defects);
         ASSERT_EQ(predicted, outcome.observableFlip)
             << "faults " << i << ", " << j;
@@ -175,18 +176,19 @@ TEST(Decoder, LogicalChainIsDecodedAsFlip)
     // logical error. This guards the convention wiring.
     RotatedSurfaceCode code(3);
     const int rounds = 2;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
 
     std::vector<Fault> faults;
     // Inject X on a full column (crossing between the X boundaries)
-    // right after round 0's RoundStart marker.
-    const size_t site = circuit.roundBegin[1];
+    // right after round 1's RoundStart marker.
+    const size_t site = roundStart(ops, 1);
     std::vector<std::pair<int, Pauli>> paulis;
     for (int r = 0; r < 3; ++r)
         paulis.push_back({code.dataId(r, 1), Pauli::X});
     faults.push_back({site, paulis});
 
-    ShotOutcome outcome = runWithFaults(code, circuit, faults);
+    ShotOutcome outcome = runWithFaults(prog, ops, faults);
     EXPECT_TRUE(outcome.defects.empty());
     EXPECT_TRUE(outcome.observableFlip);
 
@@ -199,15 +201,16 @@ TEST(Decoder, NeighborLimitStillCorrectsSingles)
 {
     RotatedSurfaceCode code(3);
     const int rounds = 2;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
     DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     DecoderOptions opts;
     opts.neighborLimit = 2;   // aggressive truncation
     MwpmDecoder decoder(dem, 1e-3, opts);
 
-    auto faults = enumerateFaults(circuit, false);
+    auto faults = enumerateFaults(ops, false);
     for (size_t i = 0; i < faults.size(); i += 7) {
-        ShotOutcome outcome = runWithFaults(code, circuit, {faults[i]});
+        ShotOutcome outcome = runWithFaults(prog, ops, {faults[i]});
         ASSERT_EQ(decoder.decode(outcome.defects),
                   outcome.observableFlip);
     }

@@ -2,8 +2,9 @@
  * @file
  * Detector-error-model tests: every model on the golden grid must be
  * bit-identical (edge order included) to the pinned digest, tiled
- * construction must equal direct enumeration, signatures must be
- * graph-like, and probabilities sane.
+ * construction must equal direct enumeration, a mutated program must
+ * move its digest off the pin, signatures must be graph-like, and
+ * probabilities sane.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -209,6 +211,62 @@ TEST(DemGolden, EveryModelMatchesItsPinnedDigest)
             << " rounds=" << g.rounds
             << " basis=" << (g.basis == Basis::Z ? "Z" : "X")
             << " tail=" << (g.tail == kDqlr ? "dqlr" : "swap");
+    }
+}
+
+/** The pinned kGoldenDems digest of one surface-memory model. */
+uint64_t
+goldenSurfaceDigest(int d, int rounds, Basis basis, IrTailKind tail)
+{
+    for (const GoldenDem &g : kGoldenDems) {
+        if (g.family == kSurface && g.d == d && g.rounds == rounds &&
+            g.basis == basis && g.tail == tail)
+            return g.digest;
+    }
+    ADD_FAILURE() << "no golden row for d=" << d << " rounds=" << rounds;
+    return 0;
+}
+
+/**
+ * The builder reads the circuit from the program it is handed: a d=3
+ * program with one body CNOT Gate dropped, or with two detector
+ * columns swapped in its IrDetectorMap, must build a model whose
+ * digest leaves its DemGolden row. Both the direct (2 rounds) and the
+ * tiled (9 rounds) build are mutated.
+ */
+TEST(DemGolden, MutatedProgramsLeaveThePinnedDigest)
+{
+    const RotatedSurfaceCode code(3);
+    for (int rounds : {2, 9}) {
+        SCOPED_TRACE("rounds=" + std::to_string(rounds));
+        const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+        const uint64_t pinned =
+            goldenSurfaceDigest(3, rounds, Basis::Z, kSwap);
+        ASSERT_EQ(demDigest(buildDetectorModel(prog)), pinned);
+
+        CircuitProgram dropped = prog;
+        const auto body_end = dropped.instrs.begin() + dropped.bodyEnd;
+        const auto cnot = std::find_if(
+            dropped.instrs.begin() + dropped.bodyBegin, body_end,
+            [&](const IrInst &inst) {
+                return inst.op == IrOpcode::Gate &&
+                       dropped.pool[inst.a].type == OpType::Cnot;
+            });
+        ASSERT_NE(cnot, body_end);
+        dropped.instrs.erase(cnot);
+        --dropped.bodyEnd;
+        EXPECT_NE(demDigest(buildDetectorModel(dropped)), pinned);
+
+        CircuitProgram swapped = prog;
+        std::vector<int> &cols = swapped.detectors.stabColumn;
+        const auto first = std::find_if(cols.begin(), cols.end(),
+                                        [](int c) { return c >= 0; });
+        ASSERT_NE(first, cols.end());
+        const auto second = std::find_if(first + 1, cols.end(),
+                                         [](int c) { return c >= 0; });
+        ASSERT_NE(second, cols.end());
+        std::swap(*first, *second);
+        EXPECT_NE(demDigest(buildDetectorModel(swapped)), pinned);
     }
 }
 

@@ -334,24 +334,24 @@ TEST(DecoderProperty, MemoryXSingleFaultsSampled)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 2;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::X);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::X);
+    const std::vector<Op> ops = prog.baseOps();
     DetectorModel dem = surfaceDem(code, rounds, Basis::X);
     MwpmDecoder decoder(dem, 1e-3);
 
     int checked = 0;
-    for (size_t k = 0; k < circuit.ops.size(); k += 5) {
-        const Op &op = circuit.ops[k];
+    for (size_t k = 0; k < ops.size(); k += 5) {
+        const Op &op = ops[k];
         if (op.type != OpType::Cnot && op.type != OpType::DataNoise)
             continue;
         FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
                            Rng(3));
         sim.reset();
-        const Op *ops = circuit.ops.data();
-        sim.executeRange(ops, ops + k + 1);
+        sim.executeRange(ops.data(), ops.data() + k + 1);
         sim.injectPauli(op.q0, Pauli::Z);
-        sim.executeRange(ops + k + 1, ops + circuit.ops.size());
+        sim.executeRange(ops.data() + k + 1, ops.data() + ops.size());
         auto outcome =
-            extractDefects(code, Basis::X, rounds, sim.record());
+            extractDefects(prog.detectors, rounds, sim.record());
         ASSERT_EQ(decoder.decode(outcome.defects),
                   outcome.observableFlip)
             << "op " << k;

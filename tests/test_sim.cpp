@@ -14,6 +14,7 @@
 #include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/defects.h"
+#include "surface_dem.h"
 #include "sim/frame_simulator.h"
 
 namespace qec
@@ -139,14 +140,14 @@ TEST_P(NoiselessSweep, AllOutcomesDeterministic)
 {
     const auto [d, rounds, basis] = GetParam();
     RotatedSurfaceCode code(d);
-    Circuit circuit = buildMemoryCircuit(code, rounds, basis);
+    const CircuitProgram prog = surfaceProgram(code, rounds, basis);
     FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
                        Rng(99));
-    sim.run(circuit);
+    sim.run(prog.baseOps());
     for (const auto &rec : sim.record())
         ASSERT_FALSE(rec.flip);
     ShotOutcome outcome =
-        extractDefects(code, basis, rounds, sim.record());
+        extractDefects(prog.detectors, rounds, sim.record());
     EXPECT_TRUE(outcome.defects.empty());
     EXPECT_FALSE(outcome.observableFlip);
 }
@@ -161,21 +162,21 @@ TEST(FrameSim, SingleDataXProducesAdjacentZDefects)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 4;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
     FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
                        Rng(7));
 
     // Execute round 0, inject X on a bulk data qubit, run the rest.
     const int q = code.dataId(2, 2);
     sim.reset();
-    const Op *ops = circuit.ops.data();
-    sim.executeRange(ops, ops + circuit.roundBegin[1]);
+    const size_t round1 = roundStart(ops, 1);
+    sim.executeRange(ops.data(), ops.data() + round1);
     sim.injectPauli(q, Pauli::X);
-    sim.executeRange(ops + circuit.roundBegin[1],
-                     ops + circuit.ops.size());
+    sim.executeRange(ops.data() + round1, ops.data() + ops.size());
 
     ShotOutcome outcome =
-        extractDefects(code, Basis::Z, rounds, sim.record());
+        extractDefects(prog.detectors, rounds, sim.record());
 
     // Expected: one defect per adjacent Z stabilizer, in round 1.
     std::vector<int> expected;
@@ -195,19 +196,19 @@ TEST(FrameSim, LogicalSupportErrorFlipsObservable)
 {
     RotatedSurfaceCode code(3);
     const int rounds = 2;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
     FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
                        Rng(7));
     const int q = code.logicalZSupport()[0];
 
     sim.reset();
-    const Op *ops = circuit.ops.data();
-    sim.executeRange(ops, ops + circuit.roundBegin[1]);
+    const size_t round1 = roundStart(ops, 1);
+    sim.executeRange(ops.data(), ops.data() + round1);
     sim.injectPauli(q, Pauli::X);
-    sim.executeRange(ops + circuit.roundBegin[1],
-                     ops + circuit.ops.size());
+    sim.executeRange(ops.data() + round1, ops.data() + ops.size());
     ShotOutcome outcome =
-        extractDefects(code, Basis::Z, rounds, sim.record());
+        extractDefects(prog.detectors, rounds, sim.record());
     EXPECT_TRUE(outcome.observableFlip);
 }
 
@@ -215,17 +216,17 @@ TEST(FrameSim, DataZErrorInvisibleToZChecks)
 {
     RotatedSurfaceCode code(3);
     const int rounds = 3;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
     FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
                        Rng(7));
     sim.reset();
-    const Op *ops = circuit.ops.data();
-    sim.executeRange(ops, ops + circuit.roundBegin[1]);
+    const size_t round1 = roundStart(ops, 1);
+    sim.executeRange(ops.data(), ops.data() + round1);
     sim.injectPauli(code.dataId(1, 1), Pauli::Z);
-    sim.executeRange(ops + circuit.roundBegin[1],
-                     ops + circuit.ops.size());
+    sim.executeRange(ops.data() + round1, ops.data() + ops.size());
     ShotOutcome outcome =
-        extractDefects(code, Basis::Z, rounds, sim.record());
+        extractDefects(prog.detectors, rounds, sim.record());
     EXPECT_TRUE(outcome.defects.empty());
     EXPECT_FALSE(outcome.observableFlip);
 }

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
@@ -23,20 +22,19 @@ namespace qec
 namespace
 {
 
+/** Run `prog`'s base op stream `ops` noiselessly with `paulis`
+ *  injected right after op `op_index`. */
 ShotOutcome
-injectAndRun(const RotatedSurfaceCode &code, const Circuit &circuit,
+injectAndRun(const CircuitProgram &prog, const std::vector<Op> &ops,
              size_t op_index, std::vector<std::pair<int, Pauli>> paulis)
 {
-    FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
-                       Rng(3));
+    FrameSimulator sim(prog.numQubits, ErrorModel::noiseless(), Rng(3));
     sim.reset();
-    const Op *ops = circuit.ops.data();
-    sim.executeRange(ops, ops + op_index + 1);
+    sim.executeRange(ops.data(), ops.data() + op_index + 1);
     for (const auto &[q, p] : paulis)
         sim.injectPauli(q, p);
-    sim.executeRange(ops + op_index + 1, ops + circuit.ops.size());
-    return extractDefects(code, circuit.basis, circuit.numRounds,
-                          sim.record());
+    sim.executeRange(ops.data() + op_index + 1, ops.data() + ops.size());
+    return extractDefects(prog.detectors, prog.rounds, sim.record());
 }
 
 class UnionFindSweep
@@ -48,23 +46,24 @@ TEST_P(UnionFindSweep, EverySingleFaultCorrected)
 {
     const auto [rounds, basis] = GetParam();
     RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, rounds, basis);
+    const CircuitProgram prog = surfaceProgram(code, rounds, basis);
+    const std::vector<Op> ops = prog.baseOps();
     DetectorModel dem = surfaceDem(code, rounds, basis);
     UnionFindDecoder decoder(dem, 1e-3);
 
-    for (size_t k = 0; k < circuit.ops.size(); ++k) {
-        const Op &op = circuit.ops[k];
+    for (size_t k = 0; k < ops.size(); ++k) {
+        const Op &op = ops[k];
         if (op.type != OpType::Cnot && op.type != OpType::DataNoise &&
             op.type != OpType::H && op.type != OpType::Reset)
             continue;
         for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-            auto outcome = injectAndRun(code, circuit, k, {{op.q0, p}});
+            auto outcome = injectAndRun(prog, ops, k, {{op.q0, p}});
             ASSERT_EQ(decoder.decode(outcome.defects),
                       outcome.observableFlip)
                 << "op " << k << " pauli " << (int)p;
             if (op.type == OpType::Cnot) {
                 auto outcome2 =
-                    injectAndRun(code, circuit, k, {{op.q1, p}});
+                    injectAndRun(prog, ops, k, {{op.q1, p}});
                 ASSERT_EQ(decoder.decode(outcome2.defects),
                           outcome2.observableFlip);
             }
@@ -89,14 +88,15 @@ TEST(UnionFind, SampledDoubleFaultsAtD5)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 3;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
     DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     UnionFindDecoder decoder(dem, 1e-3);
 
     // Collect Pauli-capable ops.
     std::vector<size_t> sites;
-    for (size_t k = 0; k < circuit.ops.size(); ++k) {
-        const OpType t = circuit.ops[k].type;
+    for (size_t k = 0; k < ops.size(); ++k) {
+        const OpType t = ops[k].type;
         if (t == OpType::Cnot || t == OpType::DataNoise)
             sites.push_back(k);
     }
@@ -114,13 +114,13 @@ TEST(UnionFind, SampledDoubleFaultsAtD5)
         FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
                            Rng(100 + trial));
         sim.reset();
-        const Op *ops = circuit.ops.data();
-        sim.executeRange(ops, ops + a + 1);
-        sim.injectPauli(circuit.ops[a].q0, pa);
-        sim.executeRange(ops + a + 1, ops + b + 1);
-        sim.injectPauli(circuit.ops[b].q0, pb);
-        sim.executeRange(ops + b + 1, ops + circuit.ops.size());
-        auto outcome = extractDefects(code, Basis::Z, rounds,
+        const Op *begin = ops.data();
+        sim.executeRange(begin, begin + a + 1);
+        sim.injectPauli(ops[a].q0, pa);
+        sim.executeRange(begin + a + 1, begin + b + 1);
+        sim.injectPauli(ops[b].q0, pb);
+        sim.executeRange(begin + b + 1, begin + ops.size());
+        auto outcome = extractDefects(prog.detectors, rounds,
                                       sim.record());
         failures += decoder.decode(outcome.defects) !=
                             outcome.observableFlip
@@ -136,7 +136,8 @@ TEST(UnionFind, AgreesWithMwpmOnSparseShots)
 {
     RotatedSurfaceCode code(5);
     const int rounds = 10;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const CircuitProgram prog = surfaceProgram(code, rounds, Basis::Z);
+    const std::vector<Op> ops = prog.baseOps();
     DetectorModel dem = surfaceDem(code, rounds, Basis::Z);
     MwpmDecoder mwpm(dem, 1e-3);
     UnionFindDecoder uf(dem, 1e-3);
@@ -146,9 +147,9 @@ TEST(UnionFind, AgreesWithMwpmOnSparseShots)
     int agree = 0;
     const int shots = 300;
     for (int i = 0; i < shots; ++i) {
-        sim.run(circuit);
+        sim.run(ops);
         auto outcome =
-            extractDefects(code, Basis::Z, rounds, sim.record());
+            extractDefects(prog.detectors, rounds, sim.record());
         agree += (mwpm.decode(outcome.defects) ==
                   uf.decode(outcome.defects))
                      ? 1

@@ -829,7 +829,8 @@ emitDecodeJson()
  * SIMD width-scaling tracking: run the decoded d=11 UF ERASER sweep
  * (rounds = 3d, 1 worker so the ratio is pure per-core width scaling,
  * not thread-count effects) at word-group widths 64/256/512 and write
- * shots/s and the speedup over the width-64 anchor as JSON, together
+ * the median and quartiles of kSimdRuns runs' shots/s, and the median
+ * rate's speedup over the width-64 anchor, as JSON, together
  * with the engine's compiled backend, the host's recommended width
  * and a "width_scaling" summary block (the p = 1e-3 wide-width
  * speedups regressions are watched on). All widths run the same seed,
@@ -854,16 +855,19 @@ emitSimdJson()
     }
     FILE *out = writer.stream();
 
+    constexpr int kSimdRuns = 5;
+    constexpr unsigned kSimdThreads = 1;
     std::fprintf(
         out,
         "{\n  \"bench\": \"decoded d=11 UF ERASER sweep, rounds=3d, "
-        "1 core, word-group width sweep; width 64 is the "
-        "bit-identical pre-SIMD anchor and all widths decode the "
-        "same shots\",\n"
+        "word-group width sweep; width 64 is the anchor and all "
+        "widths decode the same shots; rates are the median (q1, q3) "
+        "of %d runs on %u thread\",\n"
         "  \"engine_backend\": \"%s\",\n"
         "  \"recommended_width\": %d,\n"
         "  \"entries\": [\n",
-        simdBackendName(), recommendedBatchWidth());
+        kSimdRuns, kSimdThreads, simdBackendName(),
+        recommendedBatchWidth());
 
     // Width sweep as a SweepPlan: the width axis is excluded from the
     // derived per-point seed, so all widths of one p decode the same
@@ -875,7 +879,7 @@ emitSimdJson()
     plan.rounds = {SweepRounds::cycles(3)};
     plan.widths = {64, 256, 512};
     plan.base.decoderKind = DecoderKind::UnionFind;
-    plan.base.threads = 1;
+    plan.base.threads = kSimdThreads;
     plan.shotsFor = [](int, double p) -> uint64_t {
         return p < 5e-4 ? 3072 : 1536;
     };
@@ -889,26 +893,25 @@ emitSimdJson()
     uint64_t base_fingerprint = 0;
     for (const SweepPoint &point : plan.points()) {
         MemoryExperiment exp(code, point.config);
-        // Best-of-3 (after one warm-up for the whole sweep):
-        // single-run wall times on shared hosts carry enough
-        // scheduler noise to swamp the width ratios this artifact
-        // exists to track.
+        // One warm-up for the whole sweep, then kSimdRuns timed runs.
         if (!warmed) {
             exp.run(PolicyKind::Eraser);
             warmed = true;
         }
-        double rate = 0.0;
+        std::vector<double> rates;
         ExperimentResult result;
-        for (int rep = 0; rep < 3; ++rep) {
+        for (int run = 0; run < kSimdRuns; ++run) {
             const auto start = std::chrono::steady_clock::now();
             result = exp.run(PolicyKind::Eraser);
             const double secs =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-            rate = std::max(rate, (double)result.shots /
-                                      (secs > 0.0 ? secs : 1e-9));
+            rates.push_back((double)result.shots /
+                            (secs > 0.0 ? secs : 1e-9));
         }
+        const Quartiles rate_q = quartilesOf(rates);
+        const double rate = rate_q.median;
         if (point.batchWidth == 64) {
             base_rate = rate;
             base_errors = result.logicalErrors;
@@ -932,14 +935,17 @@ emitSimdJson()
                      "\"shots\": %llu, \"seed\": %llu, "
                      "\"logical_errors\": %llu, "
                      "\"verdicts_match_64\": %s, "
+                     "\"threads\": %u, \"runs\": %d, "
                      "\"shots_per_s\": %.1f, "
+                     "\"shots_per_s_q1\": %.1f, "
+                     "\"shots_per_s_q3\": %.1f, "
                      "\"speedup_vs_64\": %.3f}",
                      first ? "" : ",\n", point.p, point.batchWidth,
                      (unsigned long long)result.shots,
                      (unsigned long long)point.seed,
                      (unsigned long long)result.logicalErrors,
-                     verdicts_match ? "true" : "false", rate,
-                     speedup);
+                     verdicts_match ? "true" : "false", kSimdThreads,
+                     kSimdRuns, rate, rate_q.q1, rate_q.q3, speedup);
         first = false;
     }
     std::fprintf(out,

@@ -249,12 +249,18 @@ andnot(const WordVec<NW> &a, const WordVec<NW> &b)
     WordVec<NW> r;
 #if QEC_SIMD_BACKEND_AVX512
     if constexpr (NW % 8 == 0) {
+        // a & (b ^ ~0) compiles to the same vpandnq; GCC 12's
+        // _mm512_andnot_si512 reads an undefined vector and warns
+        // wherever it is inlined.
+        const __m512i ones = _mm512_set1_epi64(-1);
         for (int i = 0; i < NW; i += 8)
             _mm512_store_si512(
                 (__m512i *)(r.w + i),
-                _mm512_andnot_si512(
-                    _mm512_load_si512((const __m512i *)(b.w + i)),
-                    _mm512_load_si512((const __m512i *)(a.w + i))));
+                _mm512_and_si512(
+                    _mm512_load_si512((const __m512i *)(a.w + i)),
+                    _mm512_xor_si512(
+                        _mm512_load_si512((const __m512i *)(b.w + i)),
+                        ones)));
         return r;
     }
 #elif QEC_SIMD_BACKEND_AVX2

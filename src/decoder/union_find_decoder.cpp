@@ -91,10 +91,16 @@ UnionFindDecoder::decodeSparse(const int *defects, size_t count,
     }
     const uint8_t e8 = ws.ufEpoch8;
     using DW = DecodeWorkspace;
+    // Every array is read through a local pointer: the byte stores
+    // below may alias anything, so a pointer re-read from its vector
+    // after each one would be reloaded.
     DW::UfNode *nodes = ws.ufNode.data();
     uint8_t *vstamp = ws.ufNodeStamp.data();
+    uint8_t *estamp = ws.ufEdgeStamp.data();
     int *deg = ws.peelDeg.data();
     uint8_t *charge = ws.peelCharge.data();
+    const int *offsets = csrOffsets_.data();
+    const Adj *csr = csrAdj_.data();
     ws.peelOrder.clear();   // every vertex touched this call
 
     // Lazily initialize a vertex the first time this call touches it:
@@ -202,6 +208,9 @@ UnionFindDecoder::decodeSparse(const int *defects, size_t count,
             nodes[r].fHead = -1;
             nodes[r].fTail = -1;
             nodes[r].fSize = 0;
+            // `r` tracks the expanding cluster's root: every vertex
+            // walked here belongs to it, and only a merge moves it.
+            uint64_t matched = 0, settled = 0;
             while (u >= 0) {
                 const int next_u = nodes[u].fNext;
                 if (nodes[u].flags & DW::kUfExpanded) {
@@ -209,17 +218,15 @@ UnionFindDecoder::decodeSparse(const int *defects, size_t count,
                     continue;
                 }
                 nodes[u].flags |= DW::kUfExpanded;
-                grew_any = true;
-                ++ws.statMatchedVerts;
-                const int row_end = csrOffsets_[(size_t)u + 1];
-                ws.statSettledNodes +=
-                    (uint64_t)(row_end - csrOffsets_[u]);
-                for (int ci = csrOffsets_[u]; ci < row_end; ++ci) {
-                    const Adj a = csrAdj_[ci];
+                ++matched;
+                const int row_end = offsets[u + 1];
+                settled += (uint64_t)(row_end - offsets[u]);
+                for (int ci = offsets[u]; ci < row_end; ++ci) {
+                    const Adj a = csr[ci];
                     const int ei = a.eo >> 1;
-                    if (ws.ufEdgeStamp[ei] == e8)
+                    if (estamp[ei] == e8)
                         continue;
-                    ws.ufEdgeStamp[ei] = e8;
+                    estamp[ei] = e8;
                     const int w = a.other;
                     touch(w);
                     // Record the grown edge and maintain the peel
@@ -231,16 +238,17 @@ UnionFindDecoder::decodeSparse(const int *defects, size_t count,
                     ++deg[w];
                     if (!(nodes[w].flags & DW::kUfInCluster)) {
                         nodes[w].flags |= DW::kUfInCluster;
-                        const int rr = find(u);
-                        pushFrontier(rr, w);
-                        nodes[w].parent = rr;
+                        pushFrontier(r, w);
+                        nodes[w].parent = r;
                     } else {
-                        merge(u, w);
+                        r = merge(r, w);
                     }
                 }
                 u = next_u;
             }
-            r = find(root);
+            grew_any |= matched != 0;
+            ws.statMatchedVerts += matched;
+            ws.statSettledNodes += settled;
             if ((nodes[r].flags & (DW::kUfOdd | DW::kUfBoundary)) ==
                 DW::kUfOdd)
                 ws.ufNextActive.push_back(r);

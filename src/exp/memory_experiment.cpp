@@ -482,8 +482,14 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     std::vector<int> ev_arena, lab_arena, leak_arena;
     // Divergent LRC tails are collected per 64-lane block in
     // first-insertion order; the program's LRC-slot branch replays
-    // them block by block.
+    // them block by block. A (block, stabilizer) head indexes the
+    // block's tails on that stabilizer, chained through tail_next (at
+    // most one per adjacent data qubit); heads are valid only when
+    // stamped with the current round.
     std::vector<IrLrcTail> active[NW];
+    std::vector<int> tail_next[NW];
+    std::vector<int> tail_head((size_t)NB * n_stabs, -1);
+    std::vector<int> tail_stamp((size_t)NB * n_stabs, -1);
     std::vector<int> stab_epoch(n_stabs, -1), data_epoch(n_data, -1);
     int epoch = 0;
 
@@ -496,8 +502,10 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         // whose nextRound is arbitrary user code.
         std::fill(sched_mask.begin(), sched_mask.end(), Lane{});
         std::fill(lrc_on_stab.begin(), lrc_on_stab.end(), Lane{});
-        for (int b = 0; b < NB; ++b)
+        for (int b = 0; b < NB; ++b) {
             active[b].clear();
+            tail_next[b].clear();
+        }
         if (!per_lane && spec.kind != BatchPolicyKind::Eraser) {
             // Lane-uniform schedule: every live lane executes lane 0's
             // pairs, so the masks and block tails are whole-word. The
@@ -542,17 +550,23 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
                     }
                     setLane(sched_mask[pair.data], l);
                     setLane(lrc_on_stab[pair.stab], l);
-                    auto it = std::find_if(
-                        active[b].begin(), active[b].end(),
-                        [&](const IrLrcTail &a) {
-                            return a.stab == pair.stab &&
-                                   a.data == pair.data;
-                        });
-                    if (it == active[b].end())
+                    const size_t key =
+                        (size_t)b * n_stabs + (size_t)pair.stab;
+                    if (tail_stamp[key] != r) {
+                        tail_stamp[key] = r;
+                        tail_head[key] = -1;
+                    }
+                    int i = tail_head[key];
+                    while (i >= 0 && active[b][i].data != pair.data)
+                        i = tail_next[b][i];
+                    if (i >= 0) {
+                        active[b][i].mask |= bit;
+                    } else {
+                        tail_next[b].push_back(tail_head[key]);
+                        tail_head[key] = (int)active[b].size();
                         active[b].push_back(
                             {pair.stab, pair.data, bit});
-                    else
-                        it->mask |= bit;
+                    }
                 }
                 stats.lrcsScheduled += lrcs[l].size();
             }

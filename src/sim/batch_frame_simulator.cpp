@@ -61,6 +61,10 @@ BatchFrameSimulatorT<NW>::BatchFrameSimulatorT(int num_qubits,
     chMiss_ = bindChannel(em.multiLevelMissProb());
     chTransport_ = bindChannel(em.pTransport);
     chExcite_ = bindChannel(em.dqlrExciteProb);
+    needP_ = drawNeed(1, 0);
+    needData_ = drawNeed(1, 1);
+    needTwoQubit_ = drawNeed(1, 2);
+    needSwapTail_ = drawNeed(7, 10);
 }
 
 template <int NW>
@@ -246,309 +250,7 @@ BatchFrameSimulatorT<NW>::drawPlainBlock(const Channel &ch, int b)
 }
 
 template <int NW>
-typename BatchFrameSimulatorT<NW>::Lane
-BatchFrameSimulatorT<NW>::drawWhere(const Channel &ch, const Lane &gate)
-{
-    Lane out{};
-    if (ch.stream >= 0) {
-        RareStream &stream = rareStreams_[ch.stream];
-        // The overwhelmingly common case: every gated block's pending
-        // skip covers its word. Test all NW counters in one
-        // branch-free pass, then subtract. Blocks past numBlocks_ are
-        // never gated, and a stream not yet initialized on a block
-        // holds skip 0, which fails the test and takes the per-block
-        // path below.
-        uint64_t gated[NW];
-        bool covered = true;
-        for (int b = 0; b < NW; ++b) {
-            gated[b] = laneWord(gate, b) ? ~uint64_t{0} : 0;
-            covered &= !gated[b] |
-                       (stream.skip[b] >= (uint64_t)blockLanes_[b]);
-        }
-        if (covered) {
-            for (int b = 0; b < NW; ++b)
-                stream.skip[b] -= (uint64_t)blockLanes_[b] & gated[b];
-            return out;
-        }
-        for (int b = 0; b < numBlocks_; ++b) {
-            if (!gated[b])
-                continue;
-            const uint64_t n = (uint64_t)blockLanes_[b];
-            if (stream.skip[b] >= n) {
-                stream.skip[b] -= n;
-                continue;
-            }
-            laneWordRef(out, b) = drawRareBlock(stream, b);
-        }
-        return out;
-    }
-    for (int b = 0; b < numBlocks_; ++b) {
-        if (laneWord(gate, b))
-            laneWordRef(out, b) = drawPlainBlock(ch, b);
-    }
-    return out;
-}
-
-template <int NW>
-typename BatchFrameSimulatorT<NW>::Lane
-BatchFrameSimulatorT<NW>::randBitsWhere(const Lane &gate)
-{
-    Lane out{};
-    for (int b = 0; b < numBlocks_; ++b) {
-        if (laneWord(gate, b))
-            laneWordRef(out, b) = blockRng_[b].next();
-    }
-    return out;
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::depolarizePerLane(int q, const Lane &mask)
-{
-    forEachSetLane(mask, [&](int l) {
-        // Uniform over {X, Y, Z}, matching the scalar draw order.
-        switch (laneRng_[l].randint(3)) {
-          case 0: flipLane(x_[q], l); break;
-          case 1: flipLane(x_[q], l); flipLane(z_[q], l); break;
-          default: flipLane(z_[q], l); break;
-        }
-    });
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::randomComputational(int q, const Lane &mask)
-{
-    // Per-lane events: touch only the set lanes instead of paying
-    // full-plane clears per event (the masks here almost always hold
-    // one or two lanes, and events scale with the group width).
-    forEachSetLane(mask, [&](int l) {
-        clearLane(leaked_[q], l);
-        if (laneRng_[l].bit())
-            setLane(x_[q], l);
-        else
-            clearLane(x_[q], l);
-        if (laneRng_[l].bit())
-            setLane(z_[q], l);
-        else
-            clearLane(z_[q], l);
-    });
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::maybeLeak(int q, const Lane &mask)
-{
-    if (!em_.leakageEnabled)
-        return;
-    // The draw itself must always happen (it IS the noise stream);
-    // the post-draw plane update is skipped on the empty-mask common
-    // case.
-    const Lane d = drawWhere(chLeak_, mask);
-    if (!anyLane(d))
-        return;
-    leaked_[q] |= d & mask;
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::maybeSeep(int q, const Lane &mask)
-{
-    const Lane leaked = leaked_[q] & mask;
-    if (!anyLane(leaked))
-        return;
-    const Lane m = drawWhere(chSeep_, leaked) & leaked;
-    if (anyLane(m)) {
-        // Seeped lanes return in a random computational state.
-        randomComputational(q, m);
-    }
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::opDataNoise(int q, const Lane &mask)
-{
-    const Lane d = drawWhere(chP_, mask);
-    if (anyLane(d))
-        depolarizePerLane(q, andnot(d & mask, leaked_[q]));
-    maybeLeak(q, mask);
-    maybeSeep(q, mask);
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::opReset(int q, const Lane &mask)
-{
-    x_[q] = andnot(x_[q], mask);
-    z_[q] = andnot(z_[q], mask);
-    leaked_[q] = andnot(leaked_[q], mask);
-    // Initialization error: the qubit comes up in |1> with prob p.
-    const Lane d = drawWhere(chP_, mask);
-    if (anyLane(d))
-        x_[q] |= d & mask;
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::opH(int q, const Lane &mask)
-{
-    const Lane act = andnot(mask, leaked_[q]);
-    const Lane xw = x_[q];
-    const Lane zw = z_[q];
-    x_[q] = andnot(xw, act) | (zw & act);
-    z_[q] = andnot(zw, act) | (xw & act);
-    const Lane d = drawWhere(chP_, mask);
-    if (anyLane(d))
-        depolarizePerLane(q, d & act);
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::twoQubitNoise(int a, int b, const Lane &mask)
-{
-    const Lane d = drawWhere(chP_, mask);
-    const Lane m = anyLane(d) ? d & mask : Lane{};
-    forEachSetLane(m, [&](int l) {
-        // One of the 15 non-identity two-qubit Paulis, uniformly.
-        const uint32_t pp = 1 + laneRng_[l].randint(15);
-        const uint32_t pa = pp & 3;
-        const uint32_t pb = (pp >> 2) & 3;
-        if (!testLane(leaked_[a], l)) {
-            if (pa == 1 || pa == 2)
-                flipLane(x_[a], l);
-            if (pa == 2 || pa == 3)
-                flipLane(z_[a], l);
-        }
-        if (!testLane(leaked_[b], l)) {
-            if (pb == 1 || pb == 2)
-                flipLane(x_[b], l);
-            if (pb == 2 || pb == 3)
-                flipLane(z_[b], l);
-        }
-    });
-    if (em_.leakageEnabled) {
-        maybeLeak(a, mask);
-        maybeLeak(b, mask);
-        maybeSeep(a, mask);
-        maybeSeep(b, mask);
-    }
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::opCnot(int c, int t, const Lane &mask)
-{
-    const Lane lc = leaked_[c];
-    const Lane lt = leaked_[t];
-    if (!anyLane((lc | lt) & mask)) {
-        // No leaked operand lane: pure frame propagation, no
-        // divergence masks to build and no draws to gate (the
-        // dominant case while the controller keeps the leakage
-        // population suppressed).
-        x_[t] ^= x_[c] & mask;
-        z_[c] ^= z_[t] & mask;
-        twoQubitNoise(c, t, mask);
-        return;
-    }
-    const Lane both_clean = andnot(andnot(mask, lc), lt);
-    x_[t] ^= x_[c] & both_clean;
-    z_[c] ^= z_[t] & both_clean;
-
-    // Exactly one operand leaked: the gate is uncalibrated for |L>, so
-    // the unleaked operand receives a uniformly random Pauli, and
-    // leakage may transport.
-    const Lane c_only = andnot(mask & lc, lt);
-    const Lane t_only = andnot(mask & lt, lc);
-    if (anyLane(c_only)) {
-        x_[t] ^= randBitsWhere(c_only) & c_only;
-        z_[t] ^= randBitsWhere(c_only) & c_only;
-    }
-    if (anyLane(t_only)) {
-        x_[c] ^= randBitsWhere(t_only) & t_only;
-        z_[c] ^= randBitsWhere(t_only) & t_only;
-    }
-    const Lane mixed = c_only | t_only;
-    if (anyLane(mixed) && em_.pTransport > 0.0) {
-        const Lane tr = drawWhere(chTransport_, mixed) & mixed;
-        leaked_[t] |= tr & c_only;
-        leaked_[c] |= tr & t_only;
-        if (em_.transport == TransportModel::Exchange) {
-            const Lane src_c = tr & c_only;
-            if (anyLane(src_c))
-                randomComputational(c, src_c);
-            const Lane src_t = tr & t_only;
-            if (anyLane(src_t))
-                randomComputational(t, src_t);
-        }
-    }
-    // Lanes with both operands leaked see no frame action at all.
-    twoQubitNoise(c, t, mask);
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::opLeakageIswap(int d, int p, const Lane &mask)
-{
-    const Lane ld = leaked_[d];
-    const Lane lp = leaked_[p];
-
-    // DQLR moves the data qubit's leakage onto the (just reset) parity
-    // qubit; the data qubit returns to a random computational state.
-    const Lane move = andnot(mask & ld, lp);
-    if (anyLane(move)) {
-        leaked_[p] |= move;
-        randomComputational(d, move);
-    }
-
-    // Reset failure left the parity qubit in |1>: the iSWAP acts in the
-    // |11>/|20> subspace and can excite the data qubit to |L>.
-    const Lane excitable = andnot(andnot(mask, ld), lp) & x_[p];
-    if (anyLane(excitable) && em_.leakageEnabled &&
-        em_.dqlrExciteProb > 0.0) {
-        leaked_[d] |=
-            drawWhere(chExcite_, excitable) & excitable;
-    }
-    // The op has CNOT-class fidelity (Section A.2.2).
-    twoQubitNoise(d, p, mask);
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::opMeasure(const Op &op, bool x_basis,
-                                    const Lane &mask)
-{
-    const int q = op.q0;
-    const Lane frame = x_basis ? z_[q] : x_[q];
-    const Lane lk = leaked_[q] & mask;
-
-    // Unleaked lanes report the frame; a two-level discriminator
-    // classifies |L> randomly, and the multi-level discriminator flags
-    // |L> unless it errs.
-    Lane flips = andnot(frame, leaked_[q]) & mask;
-    Lane labels{};
-    if (anyLane(lk)) {
-        flips |= randBitsWhere(lk) & lk;
-        labels =
-            andnot(lk, drawWhere(chMiss_, lk));
-    }
-    const Lane me = drawWhere(chP_, mask);
-    if (anyLane(me))
-        flips ^= me & mask;
-
-    Record rec;
-    rec.qubit = q;
-    rec.stab = op.stab;
-    rec.round = op.round;
-    rec.finalData = op.finalData;
-    rec.lrcData = op.lrcData;
-    rec.mask = mask;
-    rec.flips = flips;
-    rec.leakedLabels = labels;
-    record_.push_back(rec);
-}
-
-template <int NW>
-uint64_t
+inline uint64_t
 BatchFrameSimulatorT<NW>::drawBlockWhere(const Channel &ch, int b,
                                          uint64_t gate)
 {
@@ -569,16 +271,88 @@ BatchFrameSimulatorT<NW>::drawBlockWhere(const Channel &ch, int b,
 }
 
 template <int NW>
+typename BatchFrameSimulatorT<NW>::DrawNeed
+BatchFrameSimulatorT<NW>::drawNeed(int p_draws, int leak_draws) const
+{
+    DrawNeed need;
+    const auto add = [&](const Channel &ch, int draws) {
+        // A channel with p <= 0 draws nothing; any other channel off
+        // the rare path consumes its block's Rng on every draw.
+        if (draws == 0 || ch.p <= 0.0)
+            return;
+        if (ch.stream < 0) {
+            need.coverable = false;
+            return;
+        }
+        int i = 0;
+        while (i < need.streams && need.stream[i] != ch.stream)
+            ++i;
+        if (i == need.streams)
+            need.stream[need.streams++] = ch.stream;
+        for (int b = 0; b < numBlocks_; ++b)
+            need.take[i][b] += (uint64_t)draws * (uint64_t)blockLanes_[b];
+    };
+    add(chP_, p_draws);
+    if (em_.leakageEnabled)
+        add(chLeak_, leak_draws);
+    return need;
+}
+
+template <int NW>
+bool
+BatchFrameSimulatorT<NW>::takeDraws(int b, const DrawNeed &need)
+{
+    if (!need.coverable)
+        return false;
+    // Every draw subtracts the block's lane count from a covering
+    // skip, so a skip that covers the block's total covers each draw
+    // in turn.
+    RareStream *streams = rareStreams_.data();
+    for (int i = 0; i < need.streams; ++i)
+        if (streams[need.stream[i]].skip[b] < need.take[i][b])
+            return false;
+    for (int i = 0; i < need.streams; ++i)
+        streams[need.stream[i]].skip[b] -= need.take[i][b];
+    return true;
+}
+
+template <int NW>
+template <class Body>
+typename BatchFrameSimulatorT<NW>::Lane
+BatchFrameSimulatorT<NW>::splitBlocks(const Lane &mask, const Lane &events,
+                                      const DrawNeed &need, Body &&body)
+{
+    // Blocks are independent (own streams, own lanes), so running the
+    // event blocks' bodies before the caller's word ops on the
+    // event-free blocks leaves every stream and plane as a per-block
+    // run would.
+    Lane clean{};
+    for (int b = 0; b < numBlocks_; ++b) {
+        const uint64_t m = laneWord(mask, b);
+        if (!m)
+            continue;
+        if (!laneWord(events, b) && takeDraws(b, need))
+            laneWordRef(clean, b) = m;
+        else
+            body(b, m);
+    }
+    return clean;
+}
+
+template <int NW>
 void
 BatchFrameSimulatorT<NW>::depolarizePerLaneB(int q, int b,
                                              uint64_t mask)
 {
-    // The Lane version is already a pure per-set-lane loop, so the
-    // block variant just lifts the word into a one-block lane set:
-    // one definition of the RNG-stream-critical body.
-    Lane m{};
-    laneWordRef(m, b) = mask;
-    depolarizePerLane(q, m);
+    for (const int base = 64 * b; mask; mask &= mask - 1) {
+        const int l = base + __builtin_ctzll(mask);
+        // Uniform over {X, Y, Z}, matching the scalar draw order.
+        switch (laneRng_[l].randint(3)) {
+          case 0: flipLane(x_[q], l); break;
+          case 1: flipLane(x_[q], l); flipLane(z_[q], l); break;
+          default: flipLane(z_[q], l); break;
+        }
+    }
 }
 
 template <int NW>
@@ -586,9 +360,20 @@ void
 BatchFrameSimulatorT<NW>::randomComputationalB(int q, int b,
                                                uint64_t mask)
 {
-    Lane m{};
-    laneWordRef(m, b) = mask;
-    randomComputational(q, m);
+    // Per-lane events: touch only the set lanes (the masks here almost
+    // always hold one or two lanes).
+    for (const int base = 64 * b; mask; mask &= mask - 1) {
+        const int l = base + __builtin_ctzll(mask);
+        clearLane(leaked_[q], l);
+        if (laneRng_[l].bit())
+            setLane(x_[q], l);
+        else
+            clearLane(x_[q], l);
+        if (laneRng_[l].bit())
+            setLane(z_[q], l);
+        else
+            clearLane(z_[q], l);
+    }
 }
 
 template <int NW>
@@ -597,10 +382,11 @@ BatchFrameSimulatorT<NW>::maybeLeakB(int q, int b, uint64_t mask)
 {
     if (!em_.leakageEnabled)
         return;
+    // The draw itself must always happen (it IS the noise stream);
+    // the plane update is skipped on the empty-mask common case.
     const uint64_t d = drawBlockWhere(chLeak_, b, mask);
-    if (!d)
-        return;
-    laneWordRef(leaked_[q], b) |= d & mask;
+    if (d)
+        laneWordRef(leaked_[q], b) |= d & mask;
 }
 
 template <int NW>
@@ -612,6 +398,7 @@ BatchFrameSimulatorT<NW>::maybeSeepB(int q, int b, uint64_t mask)
         return;
     const uint64_t m =
         drawBlockWhere(chSeep_, b, leaked) & leaked;
+    // Seeped lanes return in a random computational state.
     if (m)
         randomComputationalB(q, b, m);
 }
@@ -654,6 +441,17 @@ BatchFrameSimulatorT<NW>::twoQubitNoiseB(int qa, int qb, int b,
 
 template <int NW>
 void
+BatchFrameSimulatorT<NW>::opDataNoiseB(int q, int b, uint64_t mask)
+{
+    const uint64_t d = drawBlockWhere(chP_, b, mask);
+    if (d)
+        depolarizePerLaneB(q, b, d & mask & ~laneWord(leaked_[q], b));
+    maybeLeakB(q, b, mask);
+    maybeSeepB(q, b, mask);
+}
+
+template <int NW>
+void
 BatchFrameSimulatorT<NW>::opResetB(int q, int b, uint64_t mask)
 {
     laneWordRef(x_[q], b) &= ~mask;
@@ -667,16 +465,25 @@ BatchFrameSimulatorT<NW>::opResetB(int q, int b, uint64_t mask)
 
 template <int NW>
 void
+BatchFrameSimulatorT<NW>::opHB(int q, int b, uint64_t mask)
+{
+    const uint64_t act = mask & ~laneWord(leaked_[q], b);
+    uint64_t &xw = laneWordRef(x_[q], b);
+    uint64_t &zw = laneWordRef(z_[q], b);
+    const uint64_t swap = (xw ^ zw) & act;
+    xw ^= swap;
+    zw ^= swap;
+    const uint64_t d = drawBlockWhere(chP_, b, mask);
+    if (d)
+        depolarizePerLaneB(q, b, d & act);
+}
+
+template <int NW>
+void
 BatchFrameSimulatorT<NW>::opCnotB(int c, int t, int b, uint64_t mask)
 {
     const uint64_t lc = laneWord(leaked_[c], b);
     const uint64_t lt = laneWord(leaked_[t], b);
-    if (!((lc | lt) & mask)) {
-        laneWordRef(x_[t], b) ^= laneWord(x_[c], b) & mask;
-        laneWordRef(z_[c], b) ^= laneWord(z_[t], b) & mask;
-        twoQubitNoiseB(c, t, b, mask);
-        return;
-    }
     const uint64_t both_clean = (mask & ~lc) & ~lt;
     laneWordRef(x_[t], b) ^= laneWord(x_[c], b) & both_clean;
     laneWordRef(z_[c], b) ^= laneWord(z_[t], b) & both_clean;
@@ -744,10 +551,9 @@ BatchFrameSimulatorT<NW>::opLeakageIswapB(int d, int p, int b,
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::opMeasureB(const Op &op, bool x_basis, int b,
-                                     uint64_t mask)
+BatchFrameSimulatorT<NW>::opMeasureB(int q, bool x_basis, int b,
+                                     uint64_t mask, Record &rec)
 {
-    const int q = op.q0;
     const uint64_t frame =
         x_basis ? laneWord(z_[q], b) : laneWord(x_[q], b);
     const uint64_t lw = laneWord(leaked_[q], b);
@@ -766,17 +572,88 @@ BatchFrameSimulatorT<NW>::opMeasureB(const Op &op, bool x_basis, int b,
     const uint64_t me = drawBlockWhere(chP_, b, mask);
     if (me)
         flips ^= me & mask;
+    laneWordRef(rec.flips, b) = flips;
+    laneWordRef(rec.leakedLabels, b) = labels;
+}
 
-    Record rec;
+// The op entry points: event-free blocks get the noiseless frame
+// action as word ops, event blocks the single-block body.
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::opDataNoise(int q, const Lane &mask)
+{
+    // Seepage draws on leaked lanes; a noiseless idle does nothing.
+    splitBlocks(mask, leaked_[q] & mask, needData_,
+                [&](int b, uint64_t m) { opDataNoiseB(q, b, m); });
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::opReset(int q, const Lane &mask)
+{
+    const Lane clean =
+        splitBlocks(mask, Lane{}, needP_,
+                    [&](int b, uint64_t m) { opResetB(q, b, m); });
+    x_[q] = andnot(x_[q], clean);
+    z_[q] = andnot(z_[q], clean);
+    leaked_[q] = andnot(leaked_[q], clean);
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::opH(int q, const Lane &mask)
+{
+    // Leaked lanes see no frame action but draw the same p mask.
+    const Lane clean =
+        splitBlocks(mask, Lane{}, needP_,
+                    [&](int b, uint64_t m) { opHB(q, b, m); });
+    const Lane swap = (x_[q] ^ z_[q]) & andnot(clean, leaked_[q]);
+    x_[q] ^= swap;
+    z_[q] ^= swap;
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::opCnot(int c, int t, const Lane &mask)
+{
+    const Lane clean = splitBlocks(
+        mask, (leaked_[c] | leaked_[t]) & mask, needTwoQubit_,
+        [&](int b, uint64_t m) { opCnotB(c, t, b, m); });
+    x_[t] ^= x_[c] & clean;
+    z_[c] ^= z_[t] & clean;
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::opLeakageIswap(int d, int p, const Lane &mask)
+{
+    // Movable (leaked data) and excitable (parity in |1>) lanes draw;
+    // on the rest the noiseless iSWAP leaves the frame unchanged.
+    splitBlocks(mask, (leaked_[d] | leaked_[p] | x_[p]) & mask,
+                needTwoQubit_,
+                [&](int b, uint64_t m) { opLeakageIswapB(d, p, b, m); });
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::opMeasure(const Op &op, bool x_basis,
+                                    const Lane &mask)
+{
+    const int q = op.q0;
+    Record &rec = record_.emplace_back();
     rec.qubit = q;
     rec.stab = op.stab;
     rec.round = op.round;
     rec.finalData = op.finalData;
     rec.lrcData = op.lrcData;
-    laneWordRef(rec.mask, b) = mask;
-    laneWordRef(rec.flips, b) = flips;
-    laneWordRef(rec.leakedLabels, b) = labels;
-    record_.push_back(rec);
+    rec.mask = mask;
+    const Lane clean = splitBlocks(
+        mask, leaked_[q] & mask, needP_, [&](int b, uint64_t m) {
+            opMeasureB(q, x_basis, b, m, rec);
+        });
+    // No lane of an event-free block is leaked: each reports its frame.
+    rec.flips |= (x_basis ? z_[q] : x_[q]) & clean;
 }
 
 template <int NW>
@@ -831,73 +708,82 @@ BatchFrameSimulatorT<NW>::executeRange(const Op *begin, const Op *end,
 
 template <int NW>
 void
+BatchFrameSimulatorT<NW>::executeOnBlock(const Op &op, int b, uint64_t m)
+{
+    if (scalar_) {
+        if (m & 1) {
+            scalar_->execute(op);
+            syncScalarRecord();
+        }
+        return;
+    }
+    switch (op.type) {
+      case OpType::Cnot:
+        opCnotB(op.q0, op.q1, b, m);
+        break;
+      case OpType::Reset:
+        opResetB(op.q0, b, m);
+        break;
+      case OpType::LeakageIswap:
+        opLeakageIswapB(op.q0, op.q1, b, m);
+        break;
+      case OpType::Measure: {
+        Record &rec = record_.emplace_back();
+        rec.qubit = op.q0;
+        rec.stab = op.stab;
+        rec.round = op.round;
+        rec.lrcData = op.lrcData;
+        laneWordRef(rec.mask, b) = m;
+        opMeasureB(op.q0, false, b, m, rec);
+        break;
+      }
+      default:
+        panic("op kind without an LRC-tail body");
+    }
+}
+
+template <int NW>
+void
 BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
                                          const IrLrcTail &t, int b,
                                          int round, bool multi_level)
 {
     const int parity = prog.stabAncilla[t.stab];
-    // Tail masks never span blocks. Wide groups run each op on the
-    // single-block bodies: word arithmetic on plane word b regardless
-    // of NW, keeping the per-tail cost width-invariant. The 64-lane
-    // engine (and scalar mode) runs the full-width ops instead, so the
-    // W=64 results stay the reference the wide widths are pinned to.
-    const bool wide = NW > 1 && !scalar_;
-    const uint64_t mask = wide ? t.mask & laneWord(live_, b) : t.mask;
+    // Tail masks never span blocks: each op runs on block b alone,
+    // through the same single-block bodies as the static ops' event
+    // blocks.
+    const uint64_t mask = t.mask & laneWord(live_, b);
     if (!mask)
         return;
-    if (wide && prog.tail == IrTailKind::SwapLrc &&
+    if (!scalar_ && prog.tail == IrTailKind::SwapLrc &&
         cleanSwapTail(t, parity, b, mask, round))
         return;
-    const auto lanes = [b](uint64_t m) {
-        Lane l{};
-        laneWordRef(l, b) = m;
-        return l;
-    };
-    const auto cnot = [&](int c, int q, uint64_t m) {
-        if (wide)
-            opCnotB(c, q, b, m);
-        else
-            execute(makeOp(OpType::Cnot, c, q), lanes(m));
-    };
-    const auto reset = [&](int q, uint64_t m) {
-        if (wide)
-            opResetB(q, b, m);
-        else
-            execute(makeOp(OpType::Reset, q), lanes(m));
-    };
     if (prog.tail == IrTailKind::SwapLrc) {
         // SWAP D <-> P, measure + reset D, MOV back -- with the
         // ERASER+M in-round rule: lanes whose data readout is
         // labelled |L> squash the MOV and reset P instead.
-        cnot(t.data, parity, mask);
-        cnot(parity, t.data, mask);
-        cnot(t.data, parity, mask);
+        executeOnBlock(makeOp(OpType::Cnot, t.data, parity), b, mask);
+        executeOnBlock(makeOp(OpType::Cnot, parity, t.data), b, mask);
+        executeOnBlock(makeOp(OpType::Cnot, t.data, parity), b, mask);
         Op meas = makeOp(OpType::Measure, t.data);
         meas.stab = t.stab;
         meas.round = round;
         meas.lrcData = true;
-        if (wide)
-            opMeasureB(meas, false, b, mask);
-        else
-            execute(meas, lanes(mask));
+        executeOnBlock(meas, b, mask);
         uint64_t squash = 0;
         if (multi_level)
             squash = laneWord(record_.back().leakedLabels, b) & mask;
-        reset(t.data, mask);
+        executeOnBlock(makeOp(OpType::Reset, t.data), b, mask);
         const uint64_t mov = mask & ~squash;
         if (mov) {
-            cnot(parity, t.data, mov);
-            cnot(t.data, parity, mov);
+            executeOnBlock(makeOp(OpType::Cnot, parity, t.data), b, mov);
+            executeOnBlock(makeOp(OpType::Cnot, t.data, parity), b, mov);
         }
         if (squash)
-            reset(parity, squash);
+            executeOnBlock(makeOp(OpType::Reset, parity), b, squash);
     } else {
-        if (wide)
-            opLeakageIswapB(t.data, parity, b, mask);
-        else
-            execute(makeOp(OpType::LeakageIswap, t.data, parity),
-                    lanes(mask));
-        reset(parity, mask);
+        executeOnBlock(makeOp(OpType::LeakageIswap, t.data, parity), b, mask);
+        executeOnBlock(makeOp(OpType::Reset, parity), b, mask);
     }
 }
 
@@ -907,37 +793,14 @@ BatchFrameSimulatorT<NW>::cleanSwapTail(const IrLrcTail &t, int parity,
                                         int b, uint64_t mask, int round)
 {
     const int d = t.data;
-    if ((laneWord(leaked_[d], b) | laneWord(leaked_[parity], b)) & mask)
-        return false;
     // With no leaked operand lane the tail's draws on block b are
     // fixed: each of the five CNOTs draws p once and the leak channel
     // twice (seepage draws only on leaked lanes), and the readout and
     // the reset draw p once each (the |L> draws also need a leaked
-    // lane). That is 7 p draws and 10 leak draws of blockLanes_[b]
-    // trials each; where the two channels share a stream the counts
-    // add. An uninitialized stream holds skip 0, below any need.
-    if (chP_.stream < 0)
+    // lane): needSwapTail_.
+    if ((laneWord(leaked_[d], b) | laneWord(leaked_[parity], b)) & mask ||
+        !takeDraws(b, needSwapTail_))
         return false;
-    const uint64_t n = (uint64_t)blockLanes_[b];
-    uint64_t p_need = 7 * n, leak_need = 0;
-    if (em_.leakageEnabled) {
-        if (chLeak_.stream < 0)
-            return false;
-        if (chLeak_.stream == chP_.stream)
-            p_need += 10 * n;
-        else
-            leak_need = 10 * n;
-    }
-    uint64_t &p_skip = rareStreams_[chP_.stream].skip[b];
-    if (p_skip < p_need)
-        return false;
-    if (leak_need) {
-        uint64_t &leak_skip = rareStreams_[chLeak_.stream].skip[b];
-        if (leak_skip < leak_need)
-            return false;
-        leak_skip -= leak_need;
-    }
-    p_skip -= p_need;
 
     // No draw hits, so every op is its noiseless frame action:
     // SWAP D <-> P, read D out, reset D, MOV back. No lane is leaked,
@@ -949,14 +812,13 @@ BatchFrameSimulatorT<NW>::cleanSwapTail(const IrLrcTail &t, int parity,
     cnot(d, parity);
     cnot(parity, d);
     cnot(d, parity);
-    Record rec;
+    Record &rec = record_.emplace_back();
     rec.qubit = d;
     rec.stab = t.stab;
     rec.round = round;
     rec.lrcData = true;
     laneWordRef(rec.mask, b) = mask;
     laneWordRef(rec.flips, b) = laneWord(x_[d], b) & mask;
-    record_.push_back(rec);
     laneWordRef(x_[d], b) &= ~mask;
     laneWordRef(z_[d], b) &= ~mask;
     cnot(parity, d);

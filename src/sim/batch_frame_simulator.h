@@ -19,21 +19,27 @@
  * on the block exactly as the 64-lane engine gates it on its whole
  * word. A W = 256/512 run is therefore bit-for-bit the concatenation
  * of its W = 64 sub-runs — the cross-width differential anchor the
- * tests pin — and NW = 1 instantiates with plain uint64_t lane sets,
- * reproducing the pre-SIMD engine exactly.
+ * tests pin.
  *
- * Leakage breaks pure lockstep: ERASER adapts each shot's LRC schedule
- * from that shot's own syndrome, and leaked qubits respond to gates
- * differently per lane. Divergence is handled two ways:
+ * Every op has one noise body, written for one 64-lane block. Each op
+ * first sorts the blocks its mask touches:
  *
- *  - Within an op, leakage-dependent behaviour becomes masked word
- *    arithmetic (e.g. a CNOT propagates frames on the both-clean lane
- *    set and randomizes the clean operand on the exactly-one-leaked
- *    set). Rare per-lane events (depolarizing hits, seepage returns)
- *    fall back to per-lane draws from lane-split RNG streams.
- *  - Across ops, every execute() takes a lane-activation mask, so the
- *    experiment layer can run policy-divergent LRC/DQLR insertions
- *    only on the lanes whose policies scheduled them.
+ *  - An *event-free* block draws nothing beyond the body's fixed
+ *    per-block draws (no leaked operand lane, and for the DQLR iSWAP
+ *    no excitable lane), and the pending geometric skips of the rare
+ *    streams those draws land on cover them, so no draw can hit. The
+ *    op subtracts the skips and applies its noiseless frame action as
+ *    plane-word ops, on all such blocks at once.
+ *  - Every other block is an *event* block and runs the single-block
+ *    body, which draws exactly what the per-block contract draws:
+ *    masks from the block's streams, per-lane outcomes (depolarizing
+ *    Paulis, seepage returns) from lane-split RNG streams.
+ *
+ * Leakage also breaks lockstep across ops: ERASER adapts each
+ * shot's LRC schedule from that shot's own syndrome, so every
+ * execute() takes a lane-activation mask, and the experiment layer
+ * runs policy-divergent LRC/DQLR insertions only on the lanes whose
+ * policies scheduled them.
  *
  * With num_lanes == 1 the engine (at every plane depth) delegates to
  * the scalar FrameSimulator seeded per shot (Rng::forShot(seed,
@@ -78,7 +84,7 @@ struct BatchMeasureRecordT
     Lane leakedLabels{};      ///< |L> labels; zero outside `mask`.
 };
 
-/** The pre-SIMD 64-lane record layout (uint64_t lane sets). */
+/** The 64-lane record layout (uint64_t lane sets). */
 using BatchMeasureRecord = BatchMeasureRecordT<1>;
 
 /**
@@ -235,17 +241,12 @@ class BatchFrameSimulatorT
     void opLeakageIswap(int d, int p, const Lane &mask);
     void opMeasure(const Op &op, bool x_basis, const Lane &mask);
 
-    void twoQubitNoise(int a, int b, const Lane &mask);
-    void maybeLeak(int q, const Lane &mask);
-    void maybeSeep(int q, const Lane &mask);
-    /** Per-lane uniform {I,X,Y,Z} depolarizing on masked lanes. */
-    void depolarizePerLane(int q, const Lane &mask);
-    /** Random computational state relative to the reference. */
-    void randomComputational(int q, const Lane &mask);
-
-    // Single-block (word-level) op bodies: the divergent-tail images
-    // of the Lane-wide ops above, draw-for-draw identical to running
-    // the Lane op with a mask confined to block `b`.
+    /**
+     * Run one LRC-tail op (CNOT, reset, Z readout or DQLR iSWAP) on
+     * lanes `m` of block b through its single-block body; scalar mode
+     * delegates as execute() does.
+     */
+    void executeOnBlock(const Op &op, int b, uint64_t m);
     /** One divergent LRC-slot tail on one 64-lane block. */
     void executeLrcTail(const CircuitProgram &prog, const IrLrcTail &t,
                         int b, int round, bool multi_level);
@@ -259,14 +260,22 @@ class BatchFrameSimulatorT
     bool cleanSwapTail(const IrLrcTail &t, int parity, int b,
                        uint64_t mask, int round);
 
+    // Single-block op bodies: the one noise implementation of each
+    // op, run on every event block (see the file comment).
+    void opDataNoiseB(int q, int b, uint64_t mask);
     void opResetB(int q, int b, uint64_t mask);
+    void opHB(int q, int b, uint64_t mask);
     void opCnotB(int c, int t, int b, uint64_t mask);
     void opLeakageIswapB(int d, int p, int b, uint64_t mask);
-    void opMeasureB(const Op &op, bool x_basis, int b, uint64_t mask);
+    /** Fills word b of `rec`, the op's one record. */
+    void opMeasureB(int q, bool x_basis, int b, uint64_t mask,
+                    Record &rec);
     void twoQubitNoiseB(int qa, int qb, int b, uint64_t mask);
     void maybeLeakB(int q, int b, uint64_t mask);
     void maybeSeepB(int q, int b, uint64_t mask);
+    /** Per-lane uniform {X,Y,Z} depolarizing on masked lanes. */
     void depolarizePerLaneB(int q, int b, uint64_t mask);
+    /** Random computational state relative to the reference. */
     void randomComputationalB(int q, int b, uint64_t mask);
     /**
      * One noise channel's draw plan, resolved at construction: its
@@ -282,9 +291,43 @@ class BatchFrameSimulatorT
     };
     Channel bindChannel(double p);
 
-    /** Bernoulli mask for block b, drawn iff `gate` is nonzero — the
-     *  single-block image of drawWhere. */
+    /** Bernoulli mask of a channel for block b, drawn iff `gate` is
+     *  nonzero: a block outside the gate consumes nothing. */
     uint64_t drawBlockWhere(const Channel &ch, int b, uint64_t gate);
+
+    /**
+     * The fixed draws an op body takes on every block it runs, per
+     * rare stream: `take[i][b]` trials on stream `stream[i]` for block
+     * b (draws times blockLanes_[b]; channels that share a stream add
+     * their counts). `coverable` is false when a fixed draw lands on a
+     * dense channel, which consumes its block's Rng on every draw.
+     */
+    struct DrawNeed
+    {
+        bool coverable = true;
+        int streams = 0;
+        int stream[2] = {-1, -1};
+        uint64_t take[2][NW] = {};
+    };
+    /** Need of `p_draws` draws on the p channel and `leak_draws` on
+     *  the leak-injection channel (none while leakage is off). */
+    DrawNeed drawNeed(int p_draws, int leak_draws) const;
+    /**
+     * True, having subtracted the draws from the skips, when block b's
+     * pending skips cover `need`, so that none of its draws can hit;
+     * false, having changed nothing, otherwise. An uninitialized
+     * stream holds skip 0, below any need.
+     */
+    bool takeDraws(int b, const DrawNeed &need);
+    /**
+     * Sort the blocks `mask` touches: a block with no `events` lane
+     * whose draws takeDraws() covers is event-free, and its mask word
+     * is returned for the caller's noiseless word ops; every other
+     * block runs `body(b, mask_word)`.
+     */
+    template <class Body>
+    Lane splitBlocks(const Lane &mask, const Lane &events,
+                     const DrawNeed &need, Body &&body);
 
     /**
      * Per-probability rare-event streams shared across the group's
@@ -305,17 +348,6 @@ class BatchFrameSimulatorT
         uint64_t skip[NW];
         uint8_t inited[NW];
     };
-
-    /**
-     * Bernoulli lane mask of a channel, drawn per 64-lane block and
-     * only on blocks where `gate` has a set bit — the width-generic
-     * image of the 64-lane engine's "draw iff this op ran / this
-     * condition held for the word" structure. Blocks outside `gate`
-     * consume nothing from their streams.
-     */
-    Lane drawWhere(const Channel &ch, const Lane &gate);
-    /** Raw uniform bits per block, gated like drawWhere. */
-    Lane randBitsWhere(const Lane &gate);
 
     RareStream & rareStreamFor(double p);
     /** Rare-path mask for block b (cold path: a hit lands in-word). */
@@ -338,6 +370,9 @@ class BatchFrameSimulatorT
      *  injection, seepage, multi-level readout miss, transport and
      *  DQLR excitation. */
     Channel chP_, chLeak_, chSeep_, chMiss_, chTransport_, chExcite_;
+    /** Fixed draws of the op bodies: one p draw (reset, H, readout),
+     *  data noise, a two-qubit gate and a whole SwapLrc tail. */
+    DrawNeed needP_, needData_, needTwoQubit_, needSwapTail_;
     /** Per-block group streams; block b draws what a 64-lane group at
      *  first_shot + 64*b would draw. */
     std::vector<Rng> blockRng_;
@@ -353,7 +388,7 @@ class BatchFrameSimulatorT
     size_t scalarSynced_ = 0;
 };
 
-/** The 64-lane engine (uint64_t lane sets, pre-SIMD layout). */
+/** The 64-lane engine (uint64_t lane sets). */
 using BatchFrameSimulator = BatchFrameSimulatorT<1>;
 
 extern template class BatchFrameSimulatorT<1>;

@@ -240,6 +240,29 @@ TEST(BatchSim, ExchangeTransportPreservesLeakageCount)
     }
 }
 
+/**
+ * A DQLR iSWAP with the parity qubit in |1> excites the data qubit to
+ * |L> with dqlrExciteProb on every such lane: the excitable lanes make
+ * their blocks draw, so no block may take the draw-free path for them.
+ */
+TEST(BatchSim, DqlrIswapExcitesDataOnParityOneLanes)
+{
+    ErrorModel em = ErrorModel::noiseless();
+    em.leakageEnabled = true;
+    ASSERT_EQ(em.dqlrExciteProb, 0.5);
+    BatchFrameSimulatorT<4> sim(2, em, 256, 17, 0);
+    WordVec<4> one{};
+    for (int b = 0; b < 4; ++b)
+        laneWordRef(one, b) = 0x00FFFF0000FFFF00ull;
+    sim.injectPauli(1, Pauli::X, one);
+    sim.execute(op(OpType::LeakageIswap, 0, 1), sim.liveMask());
+    const WordVec<4> excited = sim.leakedWord(0);
+    EXPECT_FALSE(anyLane(andnot(excited, one)));
+    const double n = (double)popcountLanes(one);
+    EXPECT_NEAR((double)popcountLanes(excited), n / 2,
+                5 * std::sqrt(n / 4));
+}
+
 TEST(BatchSim, LeakedMeasurementIsRandomPerLane)
 {
     BatchFrameSimulator sim(1, ErrorModel::noiseless(), 64, 5, 0);
@@ -373,6 +396,21 @@ const GoldenRun kGoldenMemoryX = {
     PolicyKind::Eraser, 13, 17, 349, 14010, 24, 366,
     0xabd982c2cedecdd2ull, 0x488b8d4caac64346ull};
 
+/** Every counter `golden` pins, checked on one run's result. */
+void
+expectMatchesGolden(const ExperimentResult &r, const GoldenRun &golden,
+                    const std::string &what)
+{
+    EXPECT_EQ(r.logicalErrors, golden.logicalErrors) << what;
+    EXPECT_EQ(r.tp, golden.tp) << what;
+    EXPECT_EQ(r.fp, golden.fp) << what;
+    EXPECT_EQ(r.tn, golden.tn) << what;
+    EXPECT_EQ(r.fn, golden.fn) << what;
+    EXPECT_EQ(r.lrcsScheduled, golden.lrcsScheduled) << what;
+    EXPECT_EQ(r.verdictFingerprint, golden.verdictFingerprint) << what;
+    EXPECT_EQ(lprDigest(r), golden.lprDigest) << what;
+}
+
 void
 expectGolden(int distance, ExperimentConfig cfg, const GoldenRun &golden)
 {
@@ -385,14 +423,7 @@ expectGolden(int distance, ExperimentConfig cfg, const GoldenRun &golden)
                        cfg.protocol == RemovalProtocol::Dqlr) +
         " W=" + std::to_string(golden.width);
     EXPECT_EQ(r.shots, cfg.shots) << what;
-    EXPECT_EQ(r.logicalErrors, golden.logicalErrors) << what;
-    EXPECT_EQ(r.tp, golden.tp) << what;
-    EXPECT_EQ(r.fp, golden.fp) << what;
-    EXPECT_EQ(r.tn, golden.tn) << what;
-    EXPECT_EQ(r.fn, golden.fn) << what;
-    EXPECT_EQ(r.lrcsScheduled, golden.lrcsScheduled) << what;
-    EXPECT_EQ(r.verdictFingerprint, golden.verdictFingerprint) << what;
-    EXPECT_EQ(lprDigest(r), golden.lprDigest) << what;
+    expectMatchesGolden(r, golden, what);
 }
 
 TEST(BatchDifferential, Width1MatchesGoldenSwapLrc)
@@ -654,10 +685,74 @@ TEST(BatchDifferential, WideWidthsMatchWidth64Exactly)
     }
 }
 
+// W=64 results of the aliased-channel matrix below, recorded before
+// the 64-lane engine moved onto the block bodies that W=256/512 run,
+// in loop order (error model, then protocol, then policy). Once every
+// width sorts blocks with the same draw accounting, a miscounted
+// stream moves all widths alike; it moves these rows.
+const GoldenRun kGoldenAliased[] = {
+    // leak == p, SwapLrc.
+    {PolicyKind::Always, 37, 91, 9293, 11696, 34, 9384,
+     0x4f418f69ed769c68ull, 0xa8699043ac7226a7ull, 64},
+    {PolicyKind::Eraser, 17, 57, 245, 20645, 167, 302,
+     0x8008312fb6cf0583ull, 0x488f6f9e4bd72640ull, 64},
+    {PolicyKind::EraserM, 11, 59, 379, 20580, 96, 438,
+     0xb7c9084872692013ull, 0x27b58c6e6ec1a462ull, 64},
+    // leak == p, Dqlr.
+    {PolicyKind::Always, 9, 24, 18744, 2340, 6, 18768,
+     0xeebfc78e64ab7b7bull, 0x193cac989e0d6b89ull, 64},
+    {PolicyKind::Eraser, 15, 43, 225, 20692, 154, 268,
+     0x0c52faa250db9a2cull, 0x281f9b5d83a6936bull, 64},
+    {PolicyKind::EraserM, 14, 65, 373, 20578, 98, 438,
+     0x9e830ed593c9aecbull, 0xa988d07103aa9a37ull, 64},
+    // own seepage p, SwapLrc.
+    {PolicyKind::Always, 12, 14, 9370, 11723, 7, 9384,
+     0xf45682e918cf3cd6ull, 0xafd208aaf4b7ba48ull, 64},
+    {PolicyKind::Eraser, 6, 10, 171, 20910, 23, 181,
+     0x2b5f66a4403c7146ull, 0x8207bb225bc0e549ull, 64},
+    {PolicyKind::EraserM, 2, 12, 167, 20920, 15, 179,
+     0xa762b9570e849394ull, 0xbaef256892d22022ull, 64},
+    // own seepage p, Dqlr.
+    {PolicyKind::Always, 7, 21, 18747, 2346, 0, 18768,
+     0x9ee298f9e0395b26ull, 0x9c1d2175701b1c86ull, 64},
+    {PolicyKind::Eraser, 2, 11, 139, 20945, 19, 150,
+     0x0b936db49134c263ull, 0x7b795e0ef212b84full, 64},
+    {PolicyKind::EraserM, 1, 11, 141, 20946, 16, 152,
+     0x6fc72ee8df074b75ull, 0x9bbf09ebbad88a80ull, 64},
+    // leakage off, SwapLrc.
+    {PolicyKind::Always, 8, 0, 9384, 11730, 0, 9384,
+     0x2e65696f0dfe2df1ull, 0x3ecfc674d23e6a03ull, 64},
+    {PolicyKind::Eraser, 2, 0, 135, 20979, 0, 135,
+     0x11ed807b671b9609ull, 0x3ecfc674d23e6a03ull, 64},
+    {PolicyKind::EraserM, 2, 0, 135, 20979, 0, 135,
+     0x11ed807b671b9609ull, 0x3ecfc674d23e6a03ull, 64},
+    // leakage off, Dqlr.
+    {PolicyKind::Always, 4, 0, 18768, 2346, 0, 18768,
+     0xae7f0b7e5b5c9c67ull, 0x3ecfc674d23e6a03ull, 64},
+    {PolicyKind::Eraser, 2, 0, 132, 20982, 0, 132,
+     0xf94d90a1e735c0b4ull, 0x3ecfc674d23e6a03ull, 64},
+    {PolicyKind::EraserM, 2, 0, 132, 20982, 0, 132,
+     0xf94d90a1e735c0b4ull, 0x3ecfc674d23e6a03ull, 64},
+    // dense miss, SwapLrc.
+    {PolicyKind::Always, 12, 12, 9372, 11722, 8, 9384,
+     0x9a629f77bbe5acc2ull, 0xc2961700a6b959c0ull, 64},
+    {PolicyKind::Eraser, 4, 10, 138, 20945, 21, 148,
+     0x205afaebed8a27c7ull, 0x102541ebfc458c4full, 64},
+    {PolicyKind::EraserM, 5, 12, 166, 20921, 15, 178,
+     0x443528276f287377ull, 0x347a627d6fd48b6eull, 64},
+    // dense miss, Dqlr.
+    {PolicyKind::Always, 5, 26, 18742, 2340, 6, 18768,
+     0x60c7b09b21017d42ull, 0x353c284f4d7ea8caull, 64},
+    {PolicyKind::Eraser, 5, 11, 186, 20899, 18, 197,
+     0x5789714c43192839ull, 0x27ce4da657febe8cull, 64},
+    {PolicyKind::EraserM, 5, 10, 195, 20897, 12, 205,
+     0x677af0d8662fa3c7ull, 0x41a9885a49cdfa01ull, 64},
+};
+
 /**
  * The same pin on error models whose channels share or skip streams:
- * the wide widths' clean-tail path subtracts the p and leak streams'
- * pending skips in one step, so it must count draws per stream, not
+ * event-free blocks and clean tails subtract the p and leak streams'
+ * pending skips in one step, so they must count draws per stream, not
  * per channel. Covers leak == p (one stream for both), seepage on its
  * own probability, leakage off, and a multi-level miss rate on the
  * dense path.
@@ -677,6 +772,7 @@ TEST(BatchDifferential, WideWidthsMatchWidth64OnAliasedChannels)
               BernoulliMaskSampler::kRareThreshold);
 
     RotatedSurfaceCode code(3);
+    const GoldenRun *golden = kGoldenAliased;
     for (const ErrorModel &em : {leak_is_p, own_seep, no_leak,
                                  dense_miss}) {
         for (RemovalProtocol protocol :
@@ -699,11 +795,17 @@ TEST(BatchDifferential, WideWidthsMatchWidth64OnAliasedChannels)
                 cfg.batchWidth = 512;
                 auto w512 = MemoryExperiment(code, cfg).run(kind);
 
+                const std::string what =
+                    "aliased row " +
+                    std::to_string(golden - kGoldenAliased);
+                ASSERT_EQ(golden->kind, kind) << what;
+                expectMatchesGolden(w64, *golden++, what);
                 expectResultsIdentical(w64, w256, "W=256 vs W=64");
                 expectResultsIdentical(w64, w512, "W=512 vs W=64");
             }
         }
     }
+    EXPECT_EQ(golden, std::end(kGoldenAliased));
 }
 
 TEST(BatchDifferential, OneLaneTailGroupsMatchAcrossWidths)

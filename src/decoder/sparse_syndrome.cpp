@@ -35,16 +35,41 @@ SparseSyndromeExtractor::extract(
     const std::vector<BatchMeasureRecordT<NW>> &record, int num_lanes,
     BatchSyndrome &out)
 {
-    const int n_s = map.cols;
-    const int nw = (num_lanes + 63) / 64;
+    begin(map, rounds, num_lanes);
+    fold(record.data(), record.size());
+    finish(out);
+}
 
-    // Fold the record into detector bit-planes: NW XORs merge a
+void
+SparseSyndromeExtractor::begin(const IrDetectorMap &map, int rounds,
+                               int num_lanes)
+{
+    map_ = &map;
+    rounds_ = rounds;
+    numLanes_ = num_lanes;
+    nw_ = (num_lanes + 63) / 64;
+    mflip_.assign((size_t)map.cols * rounds * nw_, 0);
+    dataFlip_.assign((size_t)map.numData * nw_, 0);
+}
+
+template <int NW>
+void
+SparseSyndromeExtractor::fold(const BatchMeasureRecordT<NW> *records,
+                              size_t count)
+{
+    panicIf(map_ == nullptr || nw_ > NW,
+            "fold() needs a begin() whose lanes the records cover");
+    const IrDetectorMap &map = *map_;
+    const int n_s = map.cols;
+    const int rounds = rounds_;
+    const int nw = nw_;
+
+    // Fold the records into detector bit-planes: NW XORs merge a
     // measurement into all lanes at once, and stabilizer ids route
     // through the program's detector-column map. Record flips are
     // zero outside their lane mask, so plain XOR is safe.
-    mflip_.assign((size_t)n_s * rounds * nw, 0);
-    dataFlip_.assign((size_t)map.numData * nw, 0);
-    for (const auto &rec : record) {
+    for (size_t i = 0; i < count; ++i) {
+        const BatchMeasureRecordT<NW> &rec = records[i];
         if (rec.finalData) {
             uint64_t *dst = dataFlip_.data() + (size_t)rec.qubit * nw;
             for (int b = 0; b < nw; ++b)
@@ -63,6 +88,16 @@ SparseSyndromeExtractor::extract(
         for (int b = 0; b < nw; ++b)
             dst[b] ^= laneWord(rec.flips, b);
     }
+}
+
+void
+SparseSyndromeExtractor::finish(BatchSyndrome &out)
+{
+    const IrDetectorMap &map = *map_;
+    const int n_s = map.cols;
+    const int rounds = rounds_;
+    const int num_lanes = numLanes_;
+    const int nw = nw_;
 
     // Pass 1: detection-event words (column-major so per-lane defect
     // lists come out in the scalar extractDefects order), with
@@ -167,5 +202,11 @@ template void SparseSyndromeExtractor::extract<4>(
 template void SparseSyndromeExtractor::extract<8>(
     const IrDetectorMap &, int,
     const std::vector<BatchMeasureRecordT<8>> &, int, BatchSyndrome &);
+template void SparseSyndromeExtractor::fold<1>(
+    const BatchMeasureRecordT<1> *, size_t);
+template void SparseSyndromeExtractor::fold<4>(
+    const BatchMeasureRecordT<4> *, size_t);
+template void SparseSyndromeExtractor::fold<8>(
+    const BatchMeasureRecordT<8> *, size_t);
 
 } // namespace qec

@@ -16,6 +16,15 @@
  * list, which the syndrome dedup cache keys on, plus a nonzero-lane
  * mask that lets the decode stage skip zero-defect shots entirely.
  *
+ * Extraction runs in three steps: begin() sizes and zeroes the
+ * detector planes, fold() XORs a slice of records into them, and
+ * finish() turns the planes into event rows, the lane-major arena,
+ * the hashes and the observable. The memory experiment folds each
+ * round's records as soon as the round's controller gather has read
+ * them and then clears the simulator's record, so a word-group never
+ * holds more than one round of records; the planes it keeps are
+ * packed bits. extract() is the same three steps over a whole record.
+ *
  * BatchSyndrome itself is width-agnostic: lane sets are stored as up
  * to kMaxBatchWords raw 64-bit words, so one decode pipeline consumes
  * groups of any width.
@@ -83,6 +92,9 @@ uint64_t syndromeHash(const int *defects, size_t count);
  * Reusable extractor: owns the bit-plane scratch so repeated word-group
  * extractions allocate nothing in steady state. One instance per
  * thread; width-generic (one instance serves any record width).
+ * A group is extracted as begin(), any number of fold() calls that
+ * together cover its records (in any split; XOR order does not
+ * matter), then finish().
  */
 class SparseSyndromeExtractor
 {
@@ -96,14 +108,33 @@ class SparseSyndromeExtractor
      * the column-support CSR, and the observable is the XOR of
      * `map.observable`'s final readouts. Each lane's defects match
      * the scalar extractDefects on that lane's records. Reuses
-     * `out`'s buffers.
+     * `out`'s buffers. Equivalent to begin(), fold() of the whole
+     * record and finish().
      */
     template <int NW>
     void extract(const IrDetectorMap &map, int rounds,
                  const std::vector<BatchMeasureRecordT<NW>> &record,
                  int num_lanes, BatchSyndrome &out);
 
+    /** Start a word-group of `num_lanes` lanes: size and zero the
+     *  detector and final-readout planes. `map` must outlive the
+     *  group's fold() and finish() calls. */
+    void begin(const IrDetectorMap &map, int rounds, int num_lanes);
+
+    /** XOR `count` records into the planes. The records' width must
+     *  cover the group's lanes. */
+    template <int NW>
+    void fold(const BatchMeasureRecordT<NW> *records, size_t count);
+
+    /** Emit the group's syndrome from the folded planes. */
+    void finish(BatchSyndrome &out);
+
   private:
+    /** The group begin() opened. */
+    const IrDetectorMap *map_ = nullptr;
+    int rounds_ = 0;
+    int numLanes_ = 0;
+    int nw_ = 0;  ///< Plane words per cell, ceil(numLanes_ / 64).
     /** All scratch planes are [cell][word] with runtime word stride. */
     std::vector<uint64_t> mflip_;     ///< [round*stab][word] planes.
     std::vector<uint64_t> dataFlip_;  ///< [data qubit][word] finals.
@@ -119,6 +150,12 @@ extern template void SparseSyndromeExtractor::extract<4>(
 extern template void SparseSyndromeExtractor::extract<8>(
     const IrDetectorMap &, int,
     const std::vector<BatchMeasureRecordT<8>> &, int, BatchSyndrome &);
+extern template void SparseSyndromeExtractor::fold<1>(
+    const BatchMeasureRecordT<1> *, size_t);
+extern template void SparseSyndromeExtractor::fold<4>(
+    const BatchMeasureRecordT<4> *, size_t);
+extern template void SparseSyndromeExtractor::fold<8>(
+    const BatchMeasureRecordT<8> *, size_t);
 
 } // namespace qec
 

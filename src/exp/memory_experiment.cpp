@@ -417,11 +417,19 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     BatchFrameSimulatorT<NW> sim(prog.numQubits, config_.em, W,
                                  config_.seed, first);
     const Lane live = sim.liveMask();
-    // Each round emits one record per stabilizer plus, per 64-lane
-    // block, one per distinct lane-divergent LRC tail (bounded by the
-    // stabilizer count again).
+    // The record is consumed round by round: each round's records are
+    // gathered for the controller, folded into the extractor's
+    // detector planes and cleared, so the record holds one round at
+    // most. A round emits one record per stabilizer plus, per 64-lane
+    // block, one per distinct lane-divergent LRC tail (typically at
+    // most the stabilizer count again; a larger round just grows the
+    // reservation once); the final readout one per data qubit.
     sim.reserveRecord(
-        (size_t)config_.rounds * (1 + (size_t)NB) * n_stabs + n_data);
+        std::max((1 + (size_t)NB) * n_stabs, (size_t)n_data));
+    SparseSyndromeExtractor *extractor =
+        config_.decode ? &ctx->extractor : nullptr;
+    if (extractor)
+        extractor->begin(prog.detectors, config_.rounds, W);
     // Policy evaluation dispatch: a probe instance reports whether the
     // policy has a lane-parallel form. ERASER runs the word-parallel
     // controller (one LTT/PUTT bit-plane set for the group), Uniform
@@ -592,8 +600,6 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         stats.tn += (uint64_t)W * (uint64_t)n_data - sched_total -
                     leaked_total + tp_round;
 
-        const size_t record_mark = sim.record().size();
-
         // Replay this round of the compiled program: the static
         // segment, the plain readouts (masked off the lanes whose
         // policies LRC'd them under SwapLrc), and the LRC-slot branch
@@ -606,11 +612,11 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         fill.multiLevel = multi_level;
         sim.executeProgramRound(prog, r, live, &fill, 1);
 
-        // Gather this round's syndrome words.
+        // Gather this round's syndrome words, then hand the round's
+        // records to the extractor and drop them.
         std::fill(flips.begin(), flips.end(), Lane{});
         std::fill(labels.begin(), labels.end(), Lane{});
-        for (size_t i = record_mark; i < sim.record().size(); ++i) {
-            const auto &rec = sim.record()[i];
+        for (const auto &rec : sim.record()) {
             if (rec.stab < 0)
                 continue;
             flips[rec.stab] =
@@ -620,6 +626,9 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
                     andnot(labels[rec.stab], rec.mask) |
                     rec.leakedLabels;
         }
+        if (extractor)
+            extractor->fold(sim.record().data(), sim.record().size());
+        sim.clearRecord();
 
         if (config_.trackLpr) {
             stats.lprData[r] += (double)sim.countLeaked(0, n_data);
@@ -744,15 +753,15 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         std::copy(flips.begin(), flips.end(), prev_flips.begin());
     }
 
-    if (!config_.decode)
+    if (!extractor)
         return;
 
     sim.executeProgramFinal(prog, live);
 
     // Detector extraction reads the program's measure -> detector map
     // (for surface programs it is bit-identical to the lattice walk).
-    ctx->extractor.extract(prog.detectors, config_.rounds,
-                           sim.record(), W, ctx->syndrome);
+    extractor->fold(sim.record().data(), sim.record().size());
+    extractor->finish(ctx->syndrome);
     const BatchSyndrome &syndrome = ctx->syndrome;
     if (config_.batchDecode) {
         uint64_t predictions[kMaxBatchWords];

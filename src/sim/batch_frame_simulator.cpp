@@ -95,6 +95,19 @@ BatchFrameSimulatorT<NW>::reset()
 }
 
 template <int NW>
+void
+BatchFrameSimulatorT<NW>::clearRecord()
+{
+    record_.clear();
+    if (scalar_) {
+        // Every scalar record has been mirrored by now (each scalar
+        // execute() syncs), so both sides restart empty.
+        scalar_->clearRecord();
+        scalarSynced_ = 0;
+    }
+}
+
+template <int NW>
 typename BatchFrameSimulatorT<NW>::Lane
 BatchFrameSimulatorT<NW>::xWord(int q) const
 {

@@ -197,13 +197,25 @@ class BatchFrameSimulatorT
      */
     void bindProgramStreams(const CircuitProgram &) {}
 
+    /** The measurements recorded since construction, reset() or the
+     *  last clearRecord(): only what the caller has not cleared. */
     const std::vector<Record> &
     record() const
     {
         return record_;
     }
 
-    /** Pre-size the record so the round loop never reallocates it. */
+    /**
+     * Drop every record (the scalar delegate's too) and keep the
+     * capacity; frames, leakage and noise streams are untouched. A
+     * caller that consumes each round's records as they come clears
+     * after each round, so the record never holds more than one.
+     */
+    void clearRecord();
+
+    /** Pre-size the record for `measurements` more entries beyond
+     *  those it holds, so the ops that record them never reallocate
+     *  it: one round's worth when the caller clears per round. */
     void
     reserveRecord(size_t measurements)
     {

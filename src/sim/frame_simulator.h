@@ -72,6 +72,9 @@ class FrameSimulator
     /** Measurement record accumulated so far. */
     const std::vector<MeasureRecord> & record() const { return record_; }
 
+    /** Drop the records so far; the frame state is untouched. */
+    void clearRecord() { record_.clear(); }
+
     /** Pre-size the record so the shot loop never reallocates it. */
     void reserveRecord(size_t measurements)
     {

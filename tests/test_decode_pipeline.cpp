@@ -17,11 +17,14 @@
  *     stops growing.
  *  5. Sparse extraction: at W = 64/256/512 the flat BatchSyndrome
  *     agrees, lane by lane, with the scalar extractDefects run on
- *     that lane's slice of the batched record.
+ *     that lane's slice of the batched record; folded round by round
+ *     with the record cleared after each round, it is byte-identical
+ *     to one extract() over the whole record.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -589,6 +592,128 @@ TEST(DecodePipeline, SparseExtractionMatchesScalarPerLane)
         expectSparseMatchesScalar<1>(prog, 913);
         expectSparseMatchesScalar<4>(prog, 914);
         expectSparseMatchesScalar<8>(prog, 915);
+    }
+}
+
+/**
+ * Round-by-round consumption of the record, as the memory experiment
+ * does it: replay a round (with lane-divergent LRC tails on every
+ * block), fold that round's records into the extractor, clear them.
+ * The streamed syndrome must be byte-identical to extract() on the
+ * whole record of a twin simulator with the same seed, and the
+ * cleared record must never hold more than one round.
+ */
+template <int NW>
+void
+expectStreamedFoldMatchesExtract(const CircuitProgram &prog, int lanes,
+                                 bool multi_level, uint64_t seed)
+{
+    using Lane = LaneWord<NW>;
+    const ErrorModel em = ErrorModel::standard(8e-3);
+    BatchFrameSimulatorT<NW> whole(prog.numQubits, em, lanes, seed, 0);
+    BatchFrameSimulatorT<NW> streamed(prog.numQubits, em, lanes, seed,
+                                      0);
+    const Lane live = streamed.liveMask();
+    const int nb = streamed.numBlocks();
+    // What runGroupT reserves: one readout per stabilizer plus at
+    // most one tail per (block, stabilizer) below.
+    const size_t round_bound = (size_t)(1 + nb) * prog.numStabs;
+
+    SparseSyndromeExtractor streamed_ex;
+    streamed_ex.begin(prog.detectors, prog.rounds, lanes);
+    Rng pick(seed ^ 0x5eedull);
+    size_t peak = 0;
+    std::vector<Lane> lrc_on_stab(prog.numStabs);
+    std::vector<IrLrcTail> tails[NW];
+    for (int r = 0; r < prog.rounds; ++r) {
+        // About a quarter of each block's lanes take an LRC on each
+        // stabilizer, with one of its data qubits picked per block.
+        std::fill(lrc_on_stab.begin(), lrc_on_stab.end(), Lane{});
+        for (int b = 0; b < nb; ++b) {
+            tails[b].clear();
+            for (int s = 0; s < prog.numStabs; ++s) {
+                const uint64_t m =
+                    pick.next() & pick.next() & laneWord(live, b);
+                const int lo = prog.supportOffset[s];
+                const int n = prog.supportOffset[(size_t)s + 1] - lo;
+                const int data =
+                    prog.supportData[lo + (int)(pick.next() % n)];
+                if (!m)
+                    continue;
+                laneWordRef(lrc_on_stab[s], b) |= m;
+                tails[b].push_back({s, data, m});
+            }
+        }
+        ProgramLrcFillT<NW> fill;
+        fill.lrcOnStab = lrc_on_stab.data();
+        fill.blockTails = tails;
+        fill.multiLevel = multi_level;
+        whole.executeProgramRound(prog, r, live, &fill, 1);
+        streamed.executeProgramRound(prog, r, live, &fill, 1);
+
+        ASSERT_LE(streamed.record().size(), round_bound) << "round " << r;
+        peak = std::max(peak, streamed.record().size());
+        streamed_ex.fold(streamed.record().data(),
+                         streamed.record().size());
+        streamed.clearRecord();
+        ASSERT_TRUE(streamed.record().empty());
+    }
+    whole.executeProgramFinal(prog, live);
+    streamed.executeProgramFinal(prog, live);
+    ASSERT_LE(streamed.record().size(), (size_t)prog.numData);
+    streamed_ex.fold(streamed.record().data(), streamed.record().size());
+    streamed.clearRecord();
+    // The uncleared twin really holds more than any one round.
+    ASSERT_GT(whole.record().size(), peak);
+
+    BatchSyndrome from_stream, from_whole;
+    streamed_ex.finish(from_stream);
+    SparseSyndromeExtractor whole_ex;
+    whole_ex.extract(prog.detectors, prog.rounds, whole.record(), lanes,
+                     from_whole);
+
+    EXPECT_EQ(from_stream.numLanes, from_whole.numLanes);
+    EXPECT_EQ(from_stream.numWords, from_whole.numWords);
+    EXPECT_EQ(from_stream.offsets, from_whole.offsets);
+    EXPECT_EQ(from_stream.defects, from_whole.defects);
+    EXPECT_EQ(from_stream.laneHash, from_whole.laneHash);
+    EXPECT_EQ(from_stream.observableWords, from_whole.observableWords);
+    EXPECT_EQ(from_stream.nonzeroWords, from_whole.nonzeroWords);
+    // The comparison is only worth something if detectors fire.
+    EXPECT_FALSE(from_whole.defects.empty());
+}
+
+TEST(DecodePipeline, StreamedRoundFoldMatchesWholeRecordExtract)
+{
+    RotatedSurfaceCode code(3);
+    struct Case
+    {
+        const char *name;
+        IrTailKind tail;
+        Basis basis;
+        bool multiLevel;
+    };
+    const Case cases[] = {
+        {"ERASER SwapLrc", IrTailKind::SwapLrc, Basis::Z, false},
+        {"DQLR", IrTailKind::Dqlr, Basis::Z, false},
+        {"memory X", IrTailKind::SwapLrc, Basis::X, false},
+        {"multi-level readout", IrTailKind::SwapLrc, Basis::Z, true},
+    };
+    uint64_t seed = 700;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const CircuitProgram prog =
+            CircuitCompiler::surfaceMemory(code, 6, c.basis, c.tail);
+        expectStreamedFoldMatchesExtract<1>(prog, 1, c.multiLevel,
+                                            ++seed);
+        expectStreamedFoldMatchesExtract<1>(prog, 64, c.multiLevel,
+                                            ++seed);
+        expectStreamedFoldMatchesExtract<4>(prog, 256, c.multiLevel,
+                                            ++seed);
+        expectStreamedFoldMatchesExtract<8>(prog, 512, c.multiLevel,
+                                            ++seed);
+        expectStreamedFoldMatchesExtract<8>(prog, 391, c.multiLevel,
+                                            ++seed);
     }
 }
 
